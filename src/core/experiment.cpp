@@ -449,75 +449,8 @@ void ScenarioWorkspace::build(const ScenarioConfig& config,
   }
 }
 
-/// The per-run accumulators every instrumentation closure points into
-/// (arrival tap, occupancy sampler, cwnd tracer). Heap-held by the
-/// workspace and never moved, so the captured raw addresses stay valid from
-/// begin_run until finish_run — which is what lets a run pause between
-/// advance_run slices while other co-resident replicates execute.
-struct ScenarioWorkspace::ActiveRun {
-  ScenarioConfig config;  // the caller's config (pre-hybrid-carve)
-  RunControl control;
-  StatsHub arrivals;
-  RunResult result;
-  std::vector<double> background_mark;
-  bool marked = false;  // warmup goodput marks taken
-
-  // Sample bottleneck occupancy (and RED's lagging average) once per bin.
-  // The state is bundled so the closure captures one pointer and stays
-  // within InlineFn's inline budget.
-  struct SamplerCtx {
-    Link* bottleneck;
-    Simulator& sim;
-    RunResult& result;
-    const RunControl& control;
-    const RedQueue* red_queue;
-    Timer* timer = nullptr;
-  } sampler_ctx;
-  Timer sampler;
-
-  ActiveRun(const ScenarioConfig& cfg, const RunControl& ctl, Simulator& sim,
-            Link* bottleneck)
-      : config(cfg),
-        control(ctl),
-        arrivals(ctl.bin_width, ctl.horizon()),
-        sampler_ctx{bottleneck, sim, result, control,
-                    dynamic_cast<const RedQueue*>(&bottleneck->queue())},
-        sampler(sim.scheduler(), [ctx = &sampler_ctx] {
-          // Lazy fused links drain analytically between packets; flush
-          // services completed by now so the occupancy sample matches the
-          // eager schedule.
-          ctx->bottleneck->settle();
-          // Hybrid runs count the fluid background's virtual backlog as
-          // occupancy; with no background the term is exactly 0.0 and the
-          // sample is bit-identical to the packet-only path.
-          ctx->result.queue_occupancy.push_back(
-              static_cast<double>(ctx->bottleneck->queue().length()) +
-              (ctx->red_queue != nullptr ? ctx->red_queue->fluid_backlog()
-                                         : 0.0));
-          ctx->result.red_avg_samples.push_back(
-              ctx->red_queue != nullptr ? ctx->red_queue->avg() : 0.0);
-          if (ctx->sim.now() + ctx->control.bin_width <=
-              ctx->control.horizon()) {
-            ctx->timer->schedule_in(ctx->control.bin_width);
-          }
-        }) {
-    sampler_ctx.timer = &sampler;
-    // Pre-size the sampled series to the horizon so the event loop itself
-    // performs no allocations (pinned by replicate_alloc_test): one sample
-    // per bin from t = 0, plus slack for the boundary sample.
-    const std::size_t samples =
-        static_cast<std::size_t>(ctl.horizon() / ctl.bin_width) + 2;
-    result.queue_occupancy.reserve(samples);
-    result.red_avg_samples.reserve(samples);
-  }
-};
-
 ScenarioWorkspace::ScenarioWorkspace() = default;
 ScenarioWorkspace::~ScenarioWorkspace() = default;
-
-void ScenarioWorkspace::abort_run() { active_.reset(); }
-
-bool ScenarioWorkspace::run_active() const { return active_ != nullptr; }
 
 RunResult ScenarioWorkspace::run(const ScenarioConfig& config,
                                  const std::optional<PulseTrain>& attack,
@@ -539,25 +472,6 @@ RunResult ScenarioWorkspace::run(const ScenarioConfig& config,
     // differs (cross-shard links cannot fuse).
     return run_pdes(config, attack, control);
   }
-
-  // The monolithic path IS the phased path run in one slice, so batched
-  // (sweep/replicate_batch) and sequential execution cannot diverge.
-  begin_run(config, attack, control);
-  advance_run(control.horizon());
-  return finish_run();
-}
-
-void ScenarioWorkspace::begin_run(const ScenarioConfig& config,
-                                  const std::optional<PulseTrain>& attack,
-                                  const RunControl& control) {
-  config.validate();
-  if (attack) attack->validate();
-  PDOS_REQUIRE(control.warmup >= 0.0 && control.measure > 0.0,
-               "RunControl: need warmup >= 0 and measure > 0");
-  PDOS_REQUIRE(config.backend != Backend::kFluid,
-               "begin_run: the fluid tier has no event loop to phase");
-  PDOS_REQUIRE(config.shards == 1,
-               "begin_run: sharded runs drive their own round loop");
 
   // Hybrid: carve the packet-level foreground out of the flow list; the
   // complement becomes the fluid background aggregate attached after build.
@@ -586,10 +500,6 @@ void ScenarioWorkspace::begin_run(const ScenarioConfig& config,
       dst.push_back(config.rtts[i]);
     }
   }
-
-  // Retire any abandoned phased run before the rewind: its sampler Timer
-  // must cancel into the scheduler while its event slots are still live.
-  active_.reset();
 
   // Rewind the simulator to the run seed: the previous run's object graph
   // is destroyed, but every block of memory it occupied is retained and
@@ -623,23 +533,60 @@ void ScenarioWorkspace::begin_run(const ScenarioConfig& config,
   // Instrument the bottleneck's arrivals (the paper's "incoming traffic").
   // StatsHub batches the per-bin sums and is pre-sized to the horizon, so
   // the tap — an inline closure of two pointers — does no allocation and
-  // at most one bins-vector store per bin. All per-run accumulators live in
-  // the heap-held ActiveRun so their addresses survive across slices.
-  active_ = std::make_unique<ActiveRun>(config, control, sim_, bottleneck_);
-  ActiveRun& run = *active_;
+  // at most one bins-vector store per bin.
+  StatsHub arrivals(control.bin_width, control.horizon());
+  RunResult result;
+
+  // Sample bottleneck occupancy (and RED's lagging average) once per bin.
+  // The state is bundled so the closure captures one pointer and stays
+  // within InlineFn's inline budget.
+  struct SamplerCtx {
+    Link* bottleneck;
+    Simulator& sim;
+    RunResult& result;
+    const RunControl& control;
+    const RedQueue* red_queue;
+    Timer* timer = nullptr;
+  } sampler_ctx{bottleneck_, sim_, result, control,
+                dynamic_cast<const RedQueue*>(&bottleneck_->queue())};
+  Timer sampler(sim_.scheduler(), [ctx = &sampler_ctx] {
+    // Lazy fused links drain analytically between packets; flush services
+    // completed by now so the occupancy sample matches the eager schedule.
+    ctx->bottleneck->settle();
+    // Hybrid runs count the fluid background's virtual backlog as
+    // occupancy; with no background the term is exactly 0.0 and the sample
+    // is bit-identical to the packet-only path.
+    ctx->result.queue_occupancy.push_back(
+        static_cast<double>(ctx->bottleneck->queue().length()) +
+        (ctx->red_queue != nullptr ? ctx->red_queue->fluid_backlog() : 0.0));
+    ctx->result.red_avg_samples.push_back(
+        ctx->red_queue != nullptr ? ctx->red_queue->avg() : 0.0);
+    if (ctx->sim.now() + ctx->control.bin_width <= ctx->control.horizon()) {
+      ctx->timer->schedule_in(ctx->control.bin_width);
+    }
+  });
+  sampler_ctx.timer = &sampler;
+  // Pre-size the sampled series to the horizon so the event loop itself
+  // performs no allocations: one sample per bin from t = 0, plus slack for
+  // the boundary sample.
+  const std::size_t samples =
+      static_cast<std::size_t>(control.horizon() / control.bin_width) + 2;
+  result.queue_occupancy.reserve(samples);
+  result.red_avg_samples.reserve(samples);
+
   bottleneck_->add_arrival_tap(
-      [hub = &run.arrivals, sim = &sim_](const Packet& pkt) {
+      [hub = &arrivals, sim = &sim_](const Packet& pkt) {
         hub->on_arrival(sim->now(), pkt);
       });
-  run.sampler.schedule_in(0.0);
+  sampler.schedule_in(0.0);
 
   // Per-flow delivery jitter (§2.3's "increase in jitter"), kept in the
   // hub's flat meter table: one O(1) JitterMeter update per in-order
   // delivery, no allocation on the per-packet path.
-  run.arrivals.register_flows(connections_.size());
+  arrivals.register_flows(connections_.size());
   for (std::size_t i = 0; i < connections_.size(); ++i) {
     connections_[i].receiver->set_delivery_tracer(
-        [hub = &run.arrivals, i](Time t, std::int64_t) {
+        [hub = &arrivals, i](Time t, std::int64_t) {
           hub->on_delivery(i, t);
         });
   }
@@ -648,9 +595,7 @@ void ScenarioWorkspace::begin_run(const ScenarioConfig& config,
     PDOS_REQUIRE(control.traced_flow < active.num_flows,
                  "RunControl: traced_flow out of range");
     connections_[control.traced_flow].sender->set_cwnd_tracer(
-        [result = &run.result](Time t, double w) {
-          result->cwnd_trace.emplace_back(t, w);
-        });
+        [&result](Time t, double w) { result.cwnd_trace.emplace_back(t, w); });
   }
 
   // Stagger flow starts to avoid artificial lockstep at t = 0. Each flow
@@ -670,46 +615,22 @@ void ScenarioWorkspace::begin_run(const ScenarioConfig& config,
     }
   }
   if (cross_traffic_) cross_traffic_->start(0.0);
-}
 
-bool ScenarioWorkspace::advance_run(Time until) {
-  PDOS_CHECK_MSG(active_ != nullptr, "advance_run: no active phased run");
-  ActiveRun& run = *active_;
-  const Time horizon = run.control.horizon();
-  const Time target = std::min(until, horizon);
-  if (!run.marked) {
-    if (target < run.control.warmup) {
-      sim_.run_until(target);
-      return false;
-    }
-    // Stop exactly at the warmup boundary for the goodput marks — the same
-    // run_until(warmup) call the monolithic path makes, so the marks see
-    // the identical event prefix no matter how the slices fell before it.
-    sim_.run_until(run.control.warmup);
-    goodput_marks_.clear();
-    goodput_marks_.reserve(connections_.size());
-    for (const auto& conn : connections_) {
-      goodput_marks_.push_back(conn.receiver->goodput_bytes());
-    }
-    if (background_ != nullptr) {
-      run.background_mark = background_->bank().delivered_packets();
-    }
-    run.marked = true;
+  sim_.run_until(control.warmup);
+  goodput_marks_.clear();
+  goodput_marks_.reserve(connections_.size());
+  for (const auto& conn : connections_) {
+    goodput_marks_.push_back(conn.receiver->goodput_bytes());
   }
-  sim_.run_until(target);
-  return target >= horizon;
-}
+  std::vector<double> background_mark;
+  if (background_ != nullptr) {
+    background_mark = background_->bank().delivered_packets();
+  }
 
-RunResult ScenarioWorkspace::finish_run() {
-  PDOS_CHECK_MSG(active_ != nullptr, "finish_run: no active phased run");
-  ActiveRun& run = *active_;
-  PDOS_CHECK_MSG(run.marked && sim_.now() >= run.control.horizon(),
-                 "finish_run: the run has not reached its horizon");
-  collect_packet_result(run.config, run.control, run.arrivals,
-                        run.background_mark, run.result);
-  run.result.events_executed = sim_.scheduler().events_executed();
-  RunResult result = std::move(run.result);
-  active_.reset();
+  sim_.run_until(control.horizon());
+
+  collect_packet_result(config, control, arrivals, background_mark, result);
+  result.events_executed = sim_.scheduler().events_executed();
   return result;
 }
 

@@ -218,30 +218,6 @@ class ScenarioWorkspace {
                 const std::optional<PulseTrain>& attack,
                 const RunControl& control);
 
-  /// Phased execution, the primitive under the replicate-batch runner
-  /// (sweep/replicate_batch, DESIGN.md §14). `begin_run` rewinds the
-  /// simulator to `config.seed`, rebuilds the topology, arms the
-  /// instrumentation, and starts the sources; `advance_run(until)` executes
-  /// events up to `min(until, horizon)` — taking the warmup goodput marks
-  /// exactly when the clock crosses the warmup boundary — and returns true
-  /// once the horizon is reached; `finish_run` collects the result and
-  /// retires the run. `run()` on the single-scheduler packet path is
-  /// exactly begin + advance(horizon) + finish, so sliced and monolithic
-  /// execution share one code path and are bit-identical by construction
-  /// (the scheduler pops in (time, rank) order regardless of how the
-  /// horizon is partitioned). Packet backends with shards == 1 only: the
-  /// fluid tier has no event loop to slice and the PDES engine drives its
-  /// own round loop.
-  void begin_run(const ScenarioConfig& config,
-                 const std::optional<PulseTrain>& attack,
-                 const RunControl& control);
-  bool advance_run(Time until);
-  RunResult finish_run();
-  /// Drop an in-flight phased run (exception recovery); no-op when idle.
-  void abort_run();
-  /// True between begin_run and finish_run/abort_run.
-  bool run_active() const;
-
   /// Baseline goodput rate (no attack); equivalent to `measure_baseline`.
   BitRate baseline(const ScenarioConfig& config, const RunControl& control);
 
@@ -310,12 +286,6 @@ class ScenarioWorkspace {
   std::vector<std::unique_ptr<Simulator>> flow_sims_;
   std::unique_ptr<pdes::PdesEngine> engine_;
   pdes::ShardExecutor shard_executor_;
-  // Phased-run state (begin_run/advance_run/finish_run): the per-run
-  // accumulators the instrumentation closures point into. Heap-held so the
-  // captured addresses stay stable for the run's whole lifetime; declared
-  // last so its Timer cancels into a still-live scheduler on destruction.
-  struct ActiveRun;
-  std::unique_ptr<ActiveRun> active_;
 };
 
 /// Build and run one scenario. If `attack` is set, the pulse train starts
@@ -341,7 +311,8 @@ GainMeasurement measure_gain(const ScenarioConfig& config,
 
 /// Fold one finished attack run into a gain point: Γ against the baseline,
 /// G = Γ(1−γ)^κ. The measurement math shared by `ScenarioWorkspace::gain`
-/// and the replicate-batch runner, which finishes R runs at once.
+/// and the sweep's lane-batched fluid path, which finishes many runs at
+/// once.
 GainMeasurement finish_gain(const ScenarioConfig& config,
                             const PulseTrain& train, double kappa,
                             BitRate baseline_goodput, RunResult run);

@@ -1,7 +1,9 @@
 #include "sweep/spec.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "util/assert.hpp"
@@ -34,6 +36,23 @@ double parse_double(const std::string& value, int line) {
   PDOS_REQUIRE(end != value.c_str() && *end == '\0',
                "spec line " + std::to_string(line) + ": not a number: '" +
                    value + "'");
+  return parsed;
+}
+
+/// An integer key: the whole value must be a base-10 integer in
+/// [min, max of Int]. "4.7", "1e3", and out-of-range values are rejected,
+/// never truncated or rounded through a double.
+template <typename Int = int>
+Int parse_int(const std::string& key, const std::string& value, int line,
+              Int min) {
+  Int parsed{};
+  const char* end = value.data() + value.size();
+  const auto [stop, error] = std::from_chars(value.data(), end, parsed);
+  PDOS_REQUIRE(error == std::errc() && stop == end && parsed >= min,
+               "spec line " + std::to_string(line) + ": " + key +
+                   " must be an integer in [" + std::to_string(min) + ", " +
+                   std::to_string(std::numeric_limits<Int>::max()) +
+                   "], got '" + value + "'");
   return parsed;
 }
 
@@ -89,27 +108,16 @@ SpecFile parse_spec(const std::string& text) {
                        ": backend must be full, fast, fluid or hybrid");
       file.spec.backend = *backend;
     } else if (key == "hybrid_foreground") {
-      file.spec.hybrid_foreground =
-          static_cast<int>(parse_double(value, line));
+      file.spec.hybrid_foreground = parse_int(key, value, line, 1);
     } else if (key == "shards") {
-      file.spec.shards = static_cast<int>(parse_double(value, line));
-      PDOS_REQUIRE(file.spec.shards >= 1,
-                   "spec line " + std::to_string(line) +
-                       ": shards must be >= 1");
-    } else if (key == "batch_replicates") {
-      if (value == "on" || value == "true" || value == "1") {
-        file.spec.batch_replicates = true;
-      } else if (value == "off" || value == "false" || value == "0") {
-        file.spec.batch_replicates = false;
-      } else {
-        PDOS_REQUIRE(false, "spec line " + std::to_string(line) +
-                                ": batch_replicates must be on or off");
-      }
+      file.spec.shards = parse_int(key, value, line, 1);
     } else if (key == "flows") {
       file.spec.flow_counts.clear();
-      for (double flows : parse_list(value, line)) {
-        file.spec.flow_counts.push_back(static_cast<int>(flows));
+      for (const std::string& item : split_list(value)) {
+        file.spec.flow_counts.push_back(parse_int(key, item, line, 1));
       }
+      PDOS_REQUIRE(!file.spec.flow_counts.empty(),
+                   "spec line " + std::to_string(line) + ": empty list");
     } else if (key == "textent_ms") {
       file.spec.textents.clear();
       for (double textent : parse_list(value, line)) {
@@ -124,20 +132,20 @@ SpecFile parse_spec(const std::string& text) {
       file.spec.gammas.clear();
       if (value != "auto") file.spec.gammas = parse_list(value, line);
     } else if (key == "gamma_points") {
-      file.spec.gamma_points = static_cast<int>(parse_double(value, line));
+      file.spec.gamma_points = parse_int(key, value, line, 2);
     } else if (key == "kappa") {
       file.spec.kappa = parse_double(value, line);
     } else if (key == "replicates") {
-      file.spec.replicates = static_cast<int>(parse_double(value, line));
+      file.spec.replicates = parse_int(key, value, line, 1);
     } else if (key == "base_seed") {
       file.spec.base_seed =
-          static_cast<std::uint64_t>(parse_double(value, line));
+          parse_int<std::uint64_t>(key, value, line, 0);
     } else if (key == "warmup_s") {
       file.spec.control.warmup = sec(parse_double(value, line));
     } else if (key == "measure_s") {
       file.spec.control.measure = sec(parse_double(value, line));
     } else if (key == "threads") {
-      file.options.threads = static_cast<int>(parse_double(value, line));
+      file.options.threads = parse_int(key, value, line, 0);
     } else if (key == "csv") {
       file.csv_path = value;
     } else if (key == "json") {

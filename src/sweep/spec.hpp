@@ -13,9 +13,6 @@
 //   shards       = 1            # PDES shards per point (DESIGN.md §13);
 //                               # results are bit-identical at any K, so
 //                               # cache keys ignore it
-//   batch_replicates = on       # on | off: run a point's replicates as one
-//                               # co-resident batch (DESIGN.md §14); bit-
-//                               # identical either way, cache keys ignore it
 //   flows        = 15,25,35,45
 //   textent_ms   = 50,75,100
 //   rattack_mbps = 25,30,35,40
@@ -33,7 +30,12 @@
 //   store        = campaign.d   # optional sharded campaign store directory
 //                               # (multi-process; overrides `cache`)
 //
-// Unknown keys are an error (they are always typos).
+// Unknown keys are an error (they are always typos). Integer keys (shards,
+// flows, replicates, gamma_points, threads, hybrid_foreground, base_seed)
+// take exact base-10 integers: `4.7` or an out-of-range value is an error.
+// The whole spec is validated at parse time (SweepSpec::validate), so an
+// incompatible combination such as `backend = fluid` with `shards = 4`
+// fails here, naming the field, before anything runs.
 #pragma once
 
 #include <string>

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <thread>
@@ -16,7 +17,6 @@
 #include "core/planner.hpp"
 #include "io/csv.hpp"
 #include "sweep/point_cache.hpp"
-#include "sweep/replicate_batch.hpp"
 #include "sweep/thread_pool.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -79,15 +79,32 @@ ScenarioConfig SweepSpec::make_scenario(const PointSpec& point) const {
 void SweepSpec::validate() const {
   PDOS_REQUIRE(replicates >= 1, "SweepSpec: need at least one replicate");
   PDOS_REQUIRE(gamma_points >= 2, "SweepSpec: need gamma_points >= 2");
+  std::vector<int> flows = flow_counts;
   if (explicit_points.empty()) {
     PDOS_REQUIRE(!flow_counts.empty(), "SweepSpec: flow_counts is empty");
     PDOS_REQUIRE(!textents.empty(), "SweepSpec: textents is empty");
     PDOS_REQUIRE(!rattacks.empty(), "SweepSpec: rattacks is empty");
-    for (int flows : flow_counts) {
-      PDOS_REQUIRE(flows >= 1, "SweepSpec: flow counts must be >= 1");
-    }
+  } else {
+    flows.clear();
+    for (const PointSpec& point : explicit_points) flows.push_back(point.flows);
   }
   PDOS_REQUIRE(control.measure > 0.0, "SweepSpec: measure window must be > 0");
+  // Every point of one flow count shares a scenario up to its seed, so one
+  // probe per flow count rejects a combination no point could run (a
+  // backend with shards, hybrid with droptail, ...) before any work starts.
+  std::sort(flows.begin(), flows.end());
+  flows.erase(std::unique(flows.begin(), flows.end()), flows.end());
+  for (int n : flows) {
+    PDOS_REQUIRE(n >= 1, "SweepSpec: flow counts must be >= 1");
+    PointSpec probe;
+    probe.flows = n;
+    try {
+      make_scenario(probe).validate();
+    } catch (const ParameterError& e) {
+      throw ParameterError("SweepSpec at flows = " + std::to_string(n) +
+                           ": " + e.what());
+    }
+  }
 }
 
 std::vector<PointSpec> SweepSpec::enumerate() const {
@@ -321,56 +338,36 @@ class ProgressMeter {
   std::mutex mutex_;
 };
 
-/// Hands out warm execution resources (ScenarioWorkspace, ReplicateBatch)
-/// to sweep tasks. Each worker thread runs tasks serially, so the pool
-/// never holds more resources than threads; a released resource keeps its
-/// arena blocks, scheduler slabs, and container capacities hot for the next
-/// point.
-template <typename T>
-class ResourcePool {
+/// Warm ScenarioWorkspaces for the sweep's workers. Each worker runs tasks
+/// serially, so the pool never holds more workspaces than threads; a
+/// released workspace keeps its arena blocks, scheduler slabs, and container
+/// capacities hot for the next task.
+class WorkspacePool {
  public:
-  std::unique_ptr<T> acquire() {
+  std::unique_ptr<ScenarioWorkspace> acquire() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (!idle_.empty()) {
-        auto resource = std::move(idle_.back());
+        auto workspace = std::move(idle_.back());
         idle_.pop_back();
-        return resource;
+        return workspace;
       }
     }
-    return std::make_unique<T>();
+    return std::make_unique<ScenarioWorkspace>();
   }
 
-  void release(std::unique_ptr<T> resource) {
+  void release(std::unique_ptr<ScenarioWorkspace> workspace) {
     std::lock_guard<std::mutex> lock(mutex_);
-    idle_.push_back(std::move(resource));
+    idle_.push_back(std::move(workspace));
   }
 
  private:
   std::mutex mutex_;
-  std::vector<std::unique_ptr<T>> idle_;
+  std::vector<std::unique_ptr<ScenarioWorkspace>> idle_;
 };
 
-/// RAII acquire/release so exception paths return the resource too.
-template <typename T>
-class Lease {
- public:
-  explicit Lease(ResourcePool<T>& pool) : pool_(pool), res_(pool.acquire()) {}
-  ~Lease() { pool_.release(std::move(res_)); }
-  Lease(const Lease&) = delete;
-  Lease& operator=(const Lease&) = delete;
-  T& operator*() { return *res_; }
-  T* operator->() { return res_.get(); }
-
- private:
-  ResourcePool<T>& pool_;
-  std::unique_ptr<T> res_;
-};
-
-using WorkspacePool = ResourcePool<ScenarioWorkspace>;
-using WorkspaceLease = Lease<ScenarioWorkspace>;
-
-/// A contiguous run of tasks that differ only in their replicate index.
+/// A contiguous run of result rows: one point's replicates, or a flows
+/// block.
 struct TaskGroup {
   std::size_t first = 0;
   std::size_t count = 0;
@@ -423,10 +420,6 @@ std::vector<TaskGroup> group_by_flows(std::size_t n, GetSpec&& spec_of) {
 /// small enough that a ragged tail wastes little work. Not a result knob:
 /// batched lanes are bit-identical to single-point solves at any width.
 constexpr std::size_t kFluidBatchWidth = 8;
-
-}  // namespace
-
-namespace {
 
 void fill_cached_point(PointResult& slot, const CachedPoint& hit) {
   slot.c_psi = hit.c_psi;
@@ -501,688 +494,395 @@ void fill_measured(PointResult& slot, const GainMeasurement& measured,
   slot.status = PointStatus::kOk;
 }
 
-}  // namespace
+/// One unit of sweep work: a baseline slot or a row of the result table.
+struct Task {
+  bool baseline;
+  std::size_t slot;
+};
 
-SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options) {
-  const std::vector<PointSpec> points = spec.enumerate();
+/// What resolving a task against the store decided.
+enum class Resolution { kHit, kDeferred, kMiss };
 
-  // Unique (flows, replicate) pairs, in stable order of first appearance.
-  PairIndex baseline_index;
-  std::vector<BaselineSlot> baselines;
-  for (const PointSpec& point : points) {
-    if (baseline_index.insert(point.flows, point.replicate, baselines.size())
-            .second) {
-      BaselineSlot slot;
-      slot.probe = point;
-      baselines.push_back(slot);
+/// The state of one run_sweep call and the one task protocol that
+/// baselines, points, and drained tasks all share:
+///   - resolve: lookup → claim → {hit, deferred to the drain pass, miss};
+///   - finish:  store + tick on success, or release + error + tick.
+/// A miss is computed in one of two ways: one warm ScenarioWorkspace run
+/// (`compute`; every packet or hybrid task, and every drained task), or as
+/// a lane of a fluid flows group's batched solve (`run_fluid_group`).
+/// Without a store every task resolves as a miss.
+class SweepRun {
+ public:
+  SweepRun(const SweepSpec& spec, const SweepOptions& options,
+           PointStore* store, SweepResult& result)
+      : spec_(spec),
+        options_(options),
+        store_(store),
+        result_(result),
+        baselines_(unique_baselines(result.points, baseline_index_)),
+        meter_(baselines_.size() + result.points.size(),
+               options.on_progress) {}
+
+  std::size_t cache_hits() const { return cache_hits_.load(); }
+  std::size_t simulated() const { return simulated_.load(); }
+  bool cancelled() const { return cancel_.load(std::memory_order_relaxed); }
+
+  /// Every baseline, or every point, across the pool; then the drain of
+  /// the tasks a claiming store deferred. Points need their baselines, so
+  /// the baseline phase drains before the point phase starts.
+  void run_phase(ThreadPool& pool, bool baselines) {
+    const std::size_t n =
+        baselines ? baselines_.size() : result_.points.size();
+    if (spec_.backend == Backend::kFluid) {
+      const std::vector<TaskGroup> groups = group_by_flows(
+          n, [&](std::size_t i) -> const PointSpec& {
+            return point_of(Task{baselines, i});
+          });
+      parallel_for(pool, groups.size(), [&](std::size_t g) {
+        run_fluid_group(baselines, groups[g]);
+      });
+    } else {
+      parallel_for(pool, n,
+                   [&](std::size_t i) { run_task(Task{baselines, i}); });
+    }
+    drain();
+  }
+
+ private:
+  using ClaimStatus = PointStore::ClaimStatus;
+
+  /// Resolve one task and compute a miss with one warm workspace run.
+  void run_task(Task task) {
+    if (cancelled()) return skip(task);
+    std::uint64_t key = 0;
+    bool claimed = false;
+    try {
+      key = key_of(task);
+      if (resolve(task, key, claimed) != Resolution::kMiss) return;
+      compute(task);
+      finish(task, key);
+    } catch (const std::exception& e) {
+      fail(task, key, claimed, e.what());
     }
   }
 
+  /// The fluid-tier baselines or points of one flows group (DESIGN.md §14).
+  /// The group shares one topology and the fluid solver never reads the
+  /// seed, so the misses collapse to their unique attack plans (one
+  /// no-attack lane for baselines), each solved once, kFluidBatchWidth
+  /// lanes at a time, and every task is finished from its plan's run.
+  /// Bit-identical to computing each miss alone: solve_batch is
+  /// bit-identical per lane to a single solve.
+  void run_fluid_group(bool baselines, const TaskGroup& group) {
+    struct Miss {
+      Task task;
+      std::uint64_t key = 0;
+      bool claimed = false;
+    };
+    std::vector<Miss> misses;
+    for (std::size_t i = group.first; i < group.first + group.count; ++i) {
+      Miss miss{Task{baselines, i}};
+      if (cancelled()) {
+        skip(miss.task);
+        continue;
+      }
+      try {
+        miss.key = key_of(miss.task);
+        if (resolve(miss.task, miss.key, miss.claimed) == Resolution::kMiss) {
+          misses.push_back(miss);
+        }
+      } catch (const std::exception& e) {
+        fail(miss.task, miss.key, miss.claimed, e.what());
+      }
+    }
+    if (misses.empty()) return;
+
+    ScenarioConfig scenario;
+    std::vector<std::optional<AttackPlan>> plans;  // nullopt: no attack
+    std::vector<std::size_t> plan_of(misses.size());
+    std::vector<RunResult> runs;
+    try {
+      // The group's derived scenarios differ only in their (unread) seed.
+      scenario = spec_.make_scenario(point_of(misses.front().task));
+      // Unique plans among the misses: axes-equal points (a point's
+      // replicates) stay adjacent, so one backward comparison suffices.
+      for (std::size_t k = 0; k < misses.size(); ++k) {
+        const PointSpec& point = point_of(misses[k].task);
+        if (k == 0 ||
+            (!baselines &&
+             !same_point_axes(point, point_of(misses[k - 1].task)))) {
+          plans.push_back(baselines ? std::nullopt
+                                    : std::optional<AttackPlan>(
+                                          plan_point_attack(scenario, point)));
+        }
+        plan_of[k] = plans.size() - 1;
+      }
+      for (std::size_t first = 0; first < plans.size();
+           first += kFluidBatchWidth) {
+        const std::size_t stop =
+            std::min(plans.size(), first + kFluidBatchWidth);
+        std::vector<std::optional<PulseTrain>> attacks;
+        for (std::size_t p = first; p < stop; ++p) {
+          attacks.push_back(plans[p] ? std::optional<PulseTrain>(
+                                           plans[p]->train)
+                                     : std::nullopt);
+        }
+        for (RunResult& run :
+             run_fluid_batch(scenario, attacks, spec_.control)) {
+          runs.push_back(std::move(run));
+        }
+      }
+    } catch (const std::exception& e) {
+      for (const Miss& miss : misses) {
+        fail(miss.task, miss.key, miss.claimed, e.what());
+      }
+      return;
+    }
+    for (std::size_t k = 0; k < misses.size(); ++k) {
+      const Miss& miss = misses[k];
+      const RunResult& run = runs[plan_of[k]];
+      try {
+        if (baselines) {
+          BaselineSlot& slot = baselines_[miss.task.slot];
+          slot.goodput = run.goodput_rate;
+          PDOS_REQUIRE(slot.goodput > 0.0, "baseline goodput is zero");
+        } else {
+          PointResult& row = result_.points[miss.task.slot];
+          const BitRate baseline = baseline_for(row.point);
+          const AttackPlan& plan = *plans[plan_of[k]];
+          fill_plan(row, plan);
+          fill_measured(row,
+                        finish_gain(scenario, plan.train, row.point.kappa,
+                                    baseline, RunResult(run)),
+                        baseline);
+        }
+        finish(miss.task, miss.key);
+      } catch (const std::exception& e) {
+        fail(miss.task, miss.key, miss.claimed, e.what());
+      }
+    }
+  }
+
+  /// Resolve the tasks other processes held leases on: poll the store until
+  /// each one's result lands, or its lease expires unfulfilled (a crashed
+  /// peer) and the claim succeeds here, so the task runs locally. Every wait
+  /// is bounded by the lease TTL, so the loop terminates; after a
+  /// cancellation the remaining tasks are skipped without waiting.
+  void drain() {
+    const auto poll = std::chrono::duration<double>(
+        std::max(1e-3, options_.claim_poll_seconds));
+    while (!deferred_.empty()) {
+      if (!cancelled()) {
+        std::this_thread::sleep_for(poll);
+        store_->refresh();
+      }
+      std::vector<Task> pending;
+      pending.swap(deferred_);
+      for (Task task : pending) run_task(task);  // re-defers busy tasks
+    }
+  }
+
+  /// Unique (flows, replicate) pairs, in stable order of first appearance.
+  static std::vector<BaselineSlot> unique_baselines(
+      const std::vector<PointResult>& rows, PairIndex& index) {
+    std::vector<BaselineSlot> slots;
+    for (const PointResult& row : rows) {
+      if (index.insert(row.point.flows, row.point.replicate, slots.size())
+              .second) {
+        slots.emplace_back();
+        slots.back().probe = row.point;
+      }
+    }
+    return slots;
+  }
+
+  /// The task's point: a baseline's probe carries its flows and replicate.
+  const PointSpec& point_of(Task task) const {
+    return task.baseline ? baselines_[task.slot].probe
+                         : result_.points[task.slot].point;
+  }
+
+  std::uint64_t key_of(Task task) const {
+    if (store_ == nullptr) return 0;
+    const PointSpec& point = point_of(task);
+    const std::uint64_t seed =
+        replicate_seed(spec_.base_seed, point.replicate);
+    return task.baseline ? baseline_key(spec_, point, seed)
+                         : point_key(spec_, point, seed);
+  }
+
+  /// Read a stored result into the task's slot. A cached point carries
+  /// everything, including its baseline, so it completes even when this
+  /// run's baseline failed.
+  bool lookup(Task task, std::uint64_t key) {
+    if (task.baseline) {
+      double goodput = 0.0;
+      if (!store_->lookup_baseline(key, goodput)) return false;
+      PDOS_REQUIRE(goodput > 0.0, "baseline goodput is zero");
+      baselines_[task.slot].goodput = goodput;
+      baselines_[task.slot].ok = true;
+      return true;
+    }
+    CachedPoint cached;
+    if (!store_->lookup_point(key, cached)) return false;
+    fill_cached_point(result_.points[task.slot], cached);
+    return true;
+  }
+
+  Resolution resolve(Task task, std::uint64_t key, bool& claimed) {
+    if (store_ == nullptr) return Resolution::kMiss;
+    if (!lookup(task, key)) {
+      const ClaimStatus status = task.baseline ? store_->claim_baseline(key)
+                                               : store_->claim_point(key);
+      if (status == ClaimStatus::kBusy) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        deferred_.push_back(task);
+        return Resolution::kDeferred;
+      }
+      claimed = status == ClaimStatus::kAcquired;
+      // kDone: the result landed after the lookup missed; read it back.
+      if (claimed || !lookup(task, key)) return Resolution::kMiss;
+    }
+    cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    meter_.tick(true);
+    return Resolution::kHit;
+  }
+
+  /// The attack points' baseline goodput; throws when it failed.
+  BitRate baseline_for(const PointSpec& point) const {
+    const BaselineSlot& baseline =
+        baselines_[baseline_index_.at(point.flows, point.replicate)];
+    if (!baseline.ok) {
+      throw std::runtime_error("baseline failed: " + baseline.error);
+    }
+    return baseline.goodput;
+  }
+
+  /// One warm workspace run. A workspace whose run threw is dropped, not
+  /// returned to the pool.
+  void compute(Task task) {
+    std::unique_ptr<ScenarioWorkspace> workspace;
+    if (task.baseline) {
+      // The no-attack scenario, with the same seed as the attack points
+      // it normalizes.
+      BaselineSlot& slot = baselines_[task.slot];
+      const ScenarioConfig scenario = spec_.make_scenario(slot.probe);
+      workspace = workspaces_.acquire();
+      slot.goodput = workspace->baseline(scenario, spec_.control);
+      PDOS_REQUIRE(slot.goodput > 0.0, "baseline goodput is zero");
+    } else {
+      PointResult& row = result_.points[task.slot];
+      const BitRate baseline = baseline_for(row.point);
+      const ScenarioConfig scenario = spec_.make_scenario(row.point);
+      const AttackPlan plan = plan_point_attack(scenario, row.point);
+      fill_plan(row, plan);
+      workspace = workspaces_.acquire();
+      fill_measured(row,
+                    workspace->gain(scenario, plan.train, row.point.kappa,
+                                    spec_.control, baseline),
+                    baseline);
+    }
+    workspaces_.release(std::move(workspace));
+  }
+
+  void finish(Task task, std::uint64_t key) {
+    if (task.baseline) {
+      if (store_ != nullptr) {
+        store_->store_baseline(key, baselines_[task.slot].goodput);
+      }
+      baselines_[task.slot].ok = true;
+    } else if (store_ != nullptr) {
+      store_->store_point(key, to_cached_point(result_.points[task.slot]));
+    }
+    simulated_.fetch_add(1, std::memory_order_relaxed);
+    meter_.tick(false);
+  }
+
+  /// Give up the claim, so a peer can retry at once, and record the cause.
+  void fail(Task task, std::uint64_t key, bool claimed,
+            const std::string& error) {
+    if (claimed) {
+      task.baseline ? store_->release_baseline(key)
+                    : store_->release_point(key);
+    }
+    if (task.baseline) {
+      baselines_[task.slot].error = error;
+    } else {
+      result_.points[task.slot].status = PointStatus::kFailed;
+      result_.points[task.slot].error = error;
+    }
+    if (options_.cancel_on_failure) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (!cancelled()) first_failure_ = error;
+      cancel_.store(true, std::memory_order_relaxed);
+    }
+    meter_.tick(false);
+  }
+
+  /// A task not started because the sweep was cancelled; a skipped row
+  /// keeps kSkipped and names the failure that cancelled the sweep.
+  void skip(Task task) {
+    std::string error;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      error = "skipped: sweep cancelled after: " + first_failure_;
+    }
+    if (task.baseline) {
+      baselines_[task.slot].error = error;
+    } else {
+      result_.points[task.slot].error = error;
+    }
+    meter_.tick(false);
+  }
+
+  const SweepSpec& spec_;
+  const SweepOptions& options_;
+  PointStore* store_;
+  SweepResult& result_;
+  PairIndex baseline_index_;  // (flows, replicate) → baselines_ slot
+  std::vector<BaselineSlot> baselines_;
+  ProgressMeter meter_;
+  WorkspacePool workspaces_;
+  std::atomic<bool> cancel_{false};
+  std::atomic<std::size_t> cache_hits_{0};
+  std::atomic<std::size_t> simulated_{0};
+  std::mutex mutex_;               // guards the two members below
+  std::string first_failure_;      // the error that cancelled the sweep
+  std::vector<Task> deferred_;     // claims answered kBusy, for drain()
+};
+
+}  // namespace
+
+SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options) {
+  const auto start = std::chrono::steady_clock::now();
+  const std::vector<PointSpec> points = spec.enumerate();
   SweepResult result;
   result.points.resize(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
-    PointResult& slot = result.points[i];
-    slot.index = i;
-    slot.point = points[i];
-    slot.seed = replicate_seed(spec.base_seed, points[i].replicate);
+    PointResult& row = result.points[i];
+    row.index = i;
+    row.point = points[i];
+    row.seed = replicate_seed(spec.base_seed, points[i].replicate);
   }
 
-  ThreadPool pool(options.threads);
-  result.threads = pool.size();
-  ProgressMeter meter(baselines.size() + points.size(), options.on_progress);
-  std::atomic<bool> cancel{false};
-  std::atomic<std::size_t> cache_hits{0};
-  std::atomic<std::size_t> simulated{0};
-  WorkspacePool workspaces;
-  ResourcePool<ReplicateBatch> batches;
   std::unique_ptr<PointCache> owned_cache;
   PointStore* store = options.store;
   if (store == nullptr && !options.cache_path.empty()) {
     owned_cache = std::make_unique<PointCache>(options.cache_path);
     store = owned_cache.get();
   }
-  // Tasks another process holds a live lease on (claim returned kBusy):
-  // deferred here and drained after each phase's main pass, so a pool
-  // worker never idles waiting on a peer process.
-  std::mutex deferred_mutex;
-  std::vector<std::size_t> deferred_baselines;
-  std::vector<std::size_t> deferred_points;
-  const auto poll_interval = std::chrono::duration<double>(
-      std::max(1e-3, options.claim_poll_seconds));
-  using ClaimStatus = PointStore::ClaimStatus;
-  const auto start = std::chrono::steady_clock::now();
+  ThreadPool pool(options.threads);
+  result.threads = pool.size();
+  SweepRun run(spec, options, store, result);
+  run.run_phase(pool, /*baselines=*/true);
+  run.run_phase(pool, /*baselines=*/false);
 
-  // Batched replicate execution (DESIGN.md §14): group the R seed-varied
-  // replicates of each grid point into one co-resident ReplicateBatch per
-  // worker. Results (and cache records) are bit-identical to the sequential
-  // path, so the knob changes only how the work is scheduled.
-  const bool batched = spec.batch_replicates && spec.replicates > 1;
-
-  // Phase 1: baselines. Each runs the no-attack scenario with the same
-  // seed as the attack points it will normalize.
-  if (!batched) {
-    parallel_for(pool, baselines.size(), [&](std::size_t i) {
-      BaselineSlot& slot = baselines[i];
-      if (cancel.load(std::memory_order_relaxed)) {
-        slot.error = "skipped: sweep cancelled";
-        meter.tick(false);
-        return;
-      }
-      const std::uint64_t seed =
-          replicate_seed(spec.base_seed, slot.probe.replicate);
-      const std::uint64_t key =
-          store ? baseline_key(spec, slot.probe, seed) : 0;
-      bool hit = false;
-      bool claimed = false;
-      try {
-        double cached = 0.0;
-        if (store && store->lookup_baseline(key, cached)) {
-          slot.goodput = cached;
-          hit = true;
-          cache_hits.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          if (store) {
-            const ClaimStatus st = store->claim_baseline(key);
-            if (st == ClaimStatus::kBusy) {
-              // A peer process is simulating this baseline; the drain pass
-              // resolves it (and ticks the meter).
-              std::lock_guard<std::mutex> lock(deferred_mutex);
-              deferred_baselines.push_back(i);
-              return;
-            }
-            if (st == ClaimStatus::kDone &&
-                store->lookup_baseline(key, cached)) {
-              slot.goodput = cached;
-              hit = true;
-              cache_hits.fetch_add(1, std::memory_order_relaxed);
-            } else {
-              claimed = true;
-            }
-          }
-          if (!hit) {
-            const ScenarioConfig scenario = spec.make_scenario(slot.probe);
-            WorkspaceLease ws(workspaces);
-            slot.goodput = ws->baseline(scenario, spec.control);
-            if (store) store->store_baseline(key, slot.goodput);
-            simulated.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        PDOS_REQUIRE(slot.goodput > 0.0, "baseline goodput is zero");
-        slot.ok = true;
-      } catch (const std::exception& e) {
-        if (claimed) store->release_baseline(key);
-        slot.error = e.what();
-        if (options.cancel_on_failure) {
-          cancel.store(true, std::memory_order_relaxed);
-        }
-      }
-      meter.tick(hit);
-    });
-  } else {
-    // Baselines batch over their own (flows, replicate) slots: the probes
-    // for one flows value are adjacent (replicate is the innermost
-    // enumeration axis), so each group is one warm batch of R no-attack
-    // replicates.
-    const std::vector<TaskGroup> groups = group_consecutive(
-        baselines.size(),
-        [&](std::size_t i) -> const PointSpec& { return baselines[i].probe; });
-    parallel_for(pool, groups.size(), [&](std::size_t gi) {
-      const TaskGroup group = groups[gi];
-      if (cancel.load(std::memory_order_relaxed)) {
-        for (std::size_t j = 0; j < group.count; ++j) {
-          baselines[group.first + j].error = "skipped: sweep cancelled";
-          meter.tick(false);
-        }
-        return;
-      }
-      std::vector<std::size_t> miss;
-      std::vector<std::uint64_t> miss_keys;
-      for (std::size_t j = 0; j < group.count; ++j) {
-        const std::size_t bi = group.first + j;
-        BaselineSlot& slot = baselines[bi];
-        try {
-          const std::uint64_t seed =
-              replicate_seed(spec.base_seed, slot.probe.replicate);
-          const std::uint64_t key =
-              store ? baseline_key(spec, slot.probe, seed) : 0;
-          double cached = 0.0;
-          if (store && store->lookup_baseline(key, cached)) {
-            slot.goodput = cached;
-            cache_hits.fetch_add(1, std::memory_order_relaxed);
-            PDOS_REQUIRE(slot.goodput > 0.0, "baseline goodput is zero");
-            slot.ok = true;
-            meter.tick(true);
-            continue;
-          }
-          if (store) {
-            const ClaimStatus st = store->claim_baseline(key);
-            if (st == ClaimStatus::kBusy) {
-              std::lock_guard<std::mutex> lock(deferred_mutex);
-              deferred_baselines.push_back(bi);
-              continue;
-            }
-            if (st == ClaimStatus::kDone &&
-                store->lookup_baseline(key, cached)) {
-              slot.goodput = cached;
-              cache_hits.fetch_add(1, std::memory_order_relaxed);
-              PDOS_REQUIRE(slot.goodput > 0.0, "baseline goodput is zero");
-              slot.ok = true;
-              meter.tick(true);
-              continue;
-            }
-          }
-          miss.push_back(bi);
-          miss_keys.push_back(key);
-        } catch (const std::exception& e) {
-          slot.error = e.what();
-          if (options.cancel_on_failure) {
-            cancel.store(true, std::memory_order_relaxed);
-          }
-          meter.tick(true);
-        }
-      }
-      if (miss.empty()) return;
-      std::vector<std::uint64_t> seeds;
-      seeds.reserve(miss.size());
-      for (std::size_t bi : miss) {
-        seeds.push_back(
-            replicate_seed(spec.base_seed, baselines[bi].probe.replicate));
-      }
-      try {
-        const ScenarioConfig scenario =
-            spec.make_scenario(baselines[miss.front()].probe);
-        Lease<ReplicateBatch> batch(batches);
-        const std::vector<BitRate> goodputs =
-            batch->baseline(scenario, spec.control, seeds);
-        for (std::size_t k = 0; k < miss.size(); ++k) {
-          BaselineSlot& slot = baselines[miss[k]];
-          try {
-            slot.goodput = goodputs[k];
-            if (store) store->store_baseline(miss_keys[k], slot.goodput);
-            simulated.fetch_add(1, std::memory_order_relaxed);
-            PDOS_REQUIRE(slot.goodput > 0.0, "baseline goodput is zero");
-            slot.ok = true;
-          } catch (const std::exception& e) {
-            slot.error = e.what();
-            if (options.cancel_on_failure) {
-              cancel.store(true, std::memory_order_relaxed);
-            }
-          }
-        }
-      } catch (const std::exception& e) {
-        // The batch itself failed: every un-run replicate inherits the error
-        // and gives up its claim so a peer can retry immediately.
-        for (std::size_t k = 0; k < miss.size(); ++k) {
-          if (store) store->release_baseline(miss_keys[k]);
-          if (!baselines[miss[k]].ok && baselines[miss[k]].error.empty()) {
-            baselines[miss[k]].error = e.what();
-          }
-        }
-        if (options.cancel_on_failure) {
-          cancel.store(true, std::memory_order_relaxed);
-        }
-      }
-      for (std::size_t k = 0; k < miss.size(); ++k) meter.tick(false);
-    });
-  }
-
-  // Drain baselines leased to peer processes: poll the store for their
-  // results; once a lease expires unfulfilled (crashed peer) the claim
-  // succeeds here and we simulate locally. Every wait is bounded by the
-  // lease TTL, so the loop terminates.
-  while (store && !deferred_baselines.empty()) {
-    if (cancel.load(std::memory_order_relaxed)) {
-      for (std::size_t i : deferred_baselines) {
-        baselines[i].error = "skipped: sweep cancelled";
-        meter.tick(false);
-      }
-      deferred_baselines.clear();
-      break;
-    }
-    std::this_thread::sleep_for(poll_interval);
-    store->refresh();
-    std::vector<std::size_t> still;
-    for (std::size_t i : deferred_baselines) {
-      BaselineSlot& slot = baselines[i];
-      const std::uint64_t seed =
-          replicate_seed(spec.base_seed, slot.probe.replicate);
-      const std::uint64_t key = baseline_key(spec, slot.probe, seed);
-      bool claimed = false;
-      try {
-        double cached = 0.0;
-        if (store->lookup_baseline(key, cached)) {
-          slot.goodput = cached;
-          cache_hits.fetch_add(1, std::memory_order_relaxed);
-          PDOS_REQUIRE(slot.goodput > 0.0, "baseline goodput is zero");
-          slot.ok = true;
-          meter.tick(true);
-          continue;
-        }
-        const ClaimStatus st = store->claim_baseline(key);
-        if (st == ClaimStatus::kBusy) {
-          still.push_back(i);
-          continue;
-        }
-        if (st == ClaimStatus::kDone && store->lookup_baseline(key, cached)) {
-          slot.goodput = cached;
-          cache_hits.fetch_add(1, std::memory_order_relaxed);
-          PDOS_REQUIRE(slot.goodput > 0.0, "baseline goodput is zero");
-          slot.ok = true;
-          meter.tick(true);
-          continue;
-        }
-        claimed = (st == ClaimStatus::kAcquired);
-        const ScenarioConfig scenario = spec.make_scenario(slot.probe);
-        {
-          WorkspaceLease ws(workspaces);
-          slot.goodput = ws->baseline(scenario, spec.control);
-        }
-        store->store_baseline(key, slot.goodput);
-        simulated.fetch_add(1, std::memory_order_relaxed);
-        PDOS_REQUIRE(slot.goodput > 0.0, "baseline goodput is zero");
-        slot.ok = true;
-        meter.tick(false);
-      } catch (const std::exception& e) {
-        if (claimed) store->release_baseline(key);
-        slot.error = e.what();
-        if (options.cancel_on_failure) {
-          cancel.store(true, std::memory_order_relaxed);
-        }
-        meter.tick(false);
-      }
-    }
-    deferred_baselines.swap(still);
-  }
-
-  // Phase 2: the points themselves.
-  if (spec.backend == Backend::kFluid) {
-    // Fluid tier (DESIGN.md §16): each flows-group shares one topology and
-    // the solver is seed-invariant, so the group's cache misses collapse to
-    // their unique attack plans — solved as lanes of lane-batched fluid
-    // evaluations, kFluidBatchWidth at a time — and every replicate is
-    // finished against its own baseline. The records this path stores are
-    // bit-identical to the point-at-a-time path's: solve_batch's identity
-    // contract plus the seed-invariance fan-out the batched replicate
-    // runner already relies on (replicate_batch.cpp).
-    const std::vector<TaskGroup> groups =
-        group_by_flows(points.size(), [&](std::size_t i) -> const PointSpec& {
-          return points[i];
-        });
-    parallel_for(pool, groups.size(), [&](std::size_t gi) {
-      const TaskGroup group = groups[gi];
-      if (cancel.load(std::memory_order_relaxed)) {
-        for (std::size_t j = 0; j < group.count; ++j) {
-          meter.tick(false);  // slots stay kSkipped
-        }
-        return;
-      }
-      std::vector<std::size_t> miss;
-      std::vector<std::uint64_t> miss_keys;
-      for (std::size_t j = 0; j < group.count; ++j) {
-        const std::size_t i = group.first + j;
-        PointResult& slot = result.points[i];
-        const std::uint64_t key =
-            store ? point_key(spec, slot.point, slot.seed) : 0;
-        CachedPoint cached;
-        if (store && store->lookup_point(key, cached)) {
-          fill_cached_point(slot, cached);
-          cache_hits.fetch_add(1, std::memory_order_relaxed);
-          meter.tick(true);
-          continue;
-        }
-        if (store) {
-          const ClaimStatus st = store->claim_point(key);
-          if (st == ClaimStatus::kBusy) {
-            std::lock_guard<std::mutex> lock(deferred_mutex);
-            deferred_points.push_back(i);
-            continue;
-          }
-          if (st == ClaimStatus::kDone && store->lookup_point(key, cached)) {
-            fill_cached_point(slot, cached);
-            cache_hits.fetch_add(1, std::memory_order_relaxed);
-            meter.tick(true);
-            continue;
-          }
-        }
-        miss.push_back(i);
-        miss_keys.push_back(key);
-      }
-      if (miss.empty()) return;
-      try {
-        // One topology per group: the derived scenarios differ only in
-        // their (unread) seed.
-        const ScenarioConfig scenario =
-            spec.make_scenario(points[miss.front()]);
-        // Unique plans among the misses. Axes-equal points stay adjacent
-        // through the cache pass, so one backward comparison suffices.
-        std::vector<AttackPlan> plans;
-        std::vector<std::size_t> plan_of(miss.size());
-        std::vector<std::size_t> plan_first;
-        for (std::size_t k = 0; k < miss.size(); ++k) {
-          if (!plan_first.empty() &&
-              same_point_axes(points[miss[k]],
-                              points[miss[plan_first.back()]])) {
-            plan_of[k] = plan_first.size() - 1;
-            continue;
-          }
-          plan_first.push_back(k);
-          plan_of[k] = plans.size();
-          plans.push_back(plan_point_attack(scenario, points[miss[k]]));
-        }
-        std::vector<RunResult> plan_runs(plans.size());
-        for (std::size_t start = 0; start < plans.size();
-             start += kFluidBatchWidth) {
-          const std::size_t stop =
-              std::min(plans.size(), start + kFluidBatchWidth);
-          std::vector<std::optional<PulseTrain>> attacks;
-          attacks.reserve(stop - start);
-          for (std::size_t p = start; p < stop; ++p) {
-            attacks.emplace_back(plans[p].train);
-          }
-          std::vector<RunResult> solved =
-              run_fluid_batch(scenario, attacks, spec.control);
-          for (std::size_t p = start; p < stop; ++p) {
-            plan_runs[p] = std::move(solved[p - start]);
-          }
-        }
-        for (std::size_t k = 0; k < miss.size(); ++k) {
-          PointResult& slot = result.points[miss[k]];
-          const BaselineSlot& baseline = baselines[baseline_index.at(
-              slot.point.flows, slot.point.replicate)];
-          if (!baseline.ok) {
-            if (store) store->release_point(miss_keys[k]);
-            slot.status = PointStatus::kFailed;
-            slot.error = "baseline failed: " + baseline.error;
-            if (options.cancel_on_failure) {
-              cancel.store(true, std::memory_order_relaxed);
-            }
-            meter.tick(false);
-            continue;
-          }
-          const std::size_t p = plan_of[k];
-          const GainMeasurement measured =
-              finish_gain(scenario, plans[p].train, slot.point.kappa,
-                          baseline.goodput, RunResult(plan_runs[p]));
-          fill_plan(slot, plans[p]);
-          fill_measured(slot, measured, baseline.goodput);
-          if (store) store->store_point(miss_keys[k], to_cached_point(slot));
-          simulated.fetch_add(1, std::memory_order_relaxed);
-          meter.tick(false);
-        }
-      } catch (const std::exception& e) {
-        // Planning or a batched solve failed: every unresolved replicate
-        // inherits the error and gives up its claim.
-        for (std::size_t k = 0; k < miss.size(); ++k) {
-          PointResult& slot = result.points[miss[k]];
-          if (slot.status != PointStatus::kSkipped) continue;
-          if (store) store->release_point(miss_keys[k]);
-          slot.status = PointStatus::kFailed;
-          slot.error = e.what();
-          meter.tick(false);
-        }
-        if (options.cancel_on_failure) {
-          cancel.store(true, std::memory_order_relaxed);
-        }
-      }
-    });
-  } else if (!batched) {
-    parallel_for(pool, points.size(), [&](std::size_t i) {
-      PointResult& slot = result.points[i];
-      if (cancel.load(std::memory_order_relaxed)) {
-        meter.tick(false);
-        return;  // stays kSkipped
-      }
-      const std::uint64_t key =
-          store ? point_key(spec, slot.point, slot.seed) : 0;
-      bool hit = false;
-      bool claimed = false;
-      try {
-        // A cached point carries everything, including its baseline — it can
-        // complete even when this run's baseline task failed.
-        CachedPoint cached;
-        if (store && store->lookup_point(key, cached)) {
-          fill_cached_point(slot, cached);
-          cache_hits.fetch_add(1, std::memory_order_relaxed);
-          meter.tick(true);
-          return;
-        }
-        if (store) {
-          const ClaimStatus st = store->claim_point(key);
-          if (st == ClaimStatus::kBusy) {
-            std::lock_guard<std::mutex> lock(deferred_mutex);
-            deferred_points.push_back(i);
-            return;  // resolved (and ticked) by the drain pass
-          }
-          if (st == ClaimStatus::kDone && store->lookup_point(key, cached)) {
-            fill_cached_point(slot, cached);
-            cache_hits.fetch_add(1, std::memory_order_relaxed);
-            meter.tick(true);
-            return;
-          }
-          claimed = (st == ClaimStatus::kAcquired);
-        }
-
-        const BaselineSlot& baseline = baselines[baseline_index.at(
-            slot.point.flows, slot.point.replicate)];
-        if (!baseline.ok) {
-          throw std::runtime_error("baseline failed: " + baseline.error);
-        }
-        const ScenarioConfig scenario = spec.make_scenario(slot.point);
-        const AttackPlan plan = plan_point_attack(scenario, slot.point);
-        fill_plan(slot, plan);
-
-        GainMeasurement measured;
-        {
-          WorkspaceLease ws(workspaces);
-          measured = ws->gain(scenario, plan.train, slot.point.kappa,
-                              spec.control, baseline.goodput);
-        }
-        fill_measured(slot, measured, baseline.goodput);
-        if (store) store->store_point(key, to_cached_point(slot));
-        simulated.fetch_add(1, std::memory_order_relaxed);
-      } catch (const std::exception& e) {
-        if (claimed) store->release_point(key);
-        slot.status = PointStatus::kFailed;
-        slot.error = e.what();
-        if (options.cancel_on_failure) {
-          cancel.store(true, std::memory_order_relaxed);
-        }
-      }
-      meter.tick(hit);
-    });
-  } else {
-    const std::vector<TaskGroup> groups = group_consecutive(
-        points.size(),
-        [&](std::size_t i) -> const PointSpec& { return points[i]; });
-    parallel_for(pool, groups.size(), [&](std::size_t gi) {
-      const TaskGroup group = groups[gi];
-      if (cancel.load(std::memory_order_relaxed)) {
-        for (std::size_t j = 0; j < group.count; ++j) {
-          meter.tick(false);  // slots stay kSkipped
-        }
-        return;
-      }
-      // Cached replicates complete individually; replicates leased to a
-      // peer process defer to the drain pass; the rest run as one batch.
-      std::vector<std::size_t> miss;
-      std::vector<std::uint64_t> miss_keys;
-      for (std::size_t j = 0; j < group.count; ++j) {
-        const std::size_t i = group.first + j;
-        PointResult& slot = result.points[i];
-        const std::uint64_t key =
-            store ? point_key(spec, slot.point, slot.seed) : 0;
-        CachedPoint cached;
-        if (store && store->lookup_point(key, cached)) {
-          fill_cached_point(slot, cached);
-          cache_hits.fetch_add(1, std::memory_order_relaxed);
-          meter.tick(true);
-          continue;
-        }
-        if (store) {
-          const ClaimStatus st = store->claim_point(key);
-          if (st == ClaimStatus::kBusy) {
-            std::lock_guard<std::mutex> lock(deferred_mutex);
-            deferred_points.push_back(i);
-            continue;
-          }
-          if (st == ClaimStatus::kDone && store->lookup_point(key, cached)) {
-            fill_cached_point(slot, cached);
-            cache_hits.fetch_add(1, std::memory_order_relaxed);
-            meter.tick(true);
-            continue;
-          }
-        }
-        miss.push_back(i);
-        miss_keys.push_back(key);
-      }
-      if (miss.empty()) return;
-      try {
-        // Shared immutable per-point work, computed ONCE for the group:
-        // the derived scenario and the analytic attack plan are pure
-        // functions of the axes (seed excluded), identical across
-        // replicates — the sequential path recomputes them per replicate.
-        const ScenarioConfig scenario =
-            spec.make_scenario(points[miss.front()]);
-        const AttackPlan plan =
-            plan_point_attack(scenario, points[miss.front()]);
-        std::vector<std::size_t> runnable;
-        std::vector<std::uint64_t> runnable_keys;
-        std::vector<std::uint64_t> seeds;
-        std::vector<BitRate> base_goodputs;
-        for (std::size_t k = 0; k < miss.size(); ++k) {
-          const std::size_t i = miss[k];
-          PointResult& slot = result.points[i];
-          const BaselineSlot& baseline = baselines[baseline_index.at(
-              slot.point.flows, slot.point.replicate)];
-          if (!baseline.ok) {
-            if (store) store->release_point(miss_keys[k]);
-            slot.status = PointStatus::kFailed;
-            slot.error = "baseline failed: " + baseline.error;
-            if (options.cancel_on_failure) {
-              cancel.store(true, std::memory_order_relaxed);
-            }
-            meter.tick(false);
-            continue;
-          }
-          runnable.push_back(i);
-          runnable_keys.push_back(miss_keys[k]);
-          seeds.push_back(slot.seed);
-          base_goodputs.push_back(baseline.goodput);
-        }
-        if (!runnable.empty()) {
-          std::vector<GainMeasurement> measured;
-          {
-            Lease<ReplicateBatch> batch(batches);
-            measured = batch->gain(scenario, plan.train,
-                                   points[runnable.front()].kappa,
-                                   spec.control, base_goodputs, seeds);
-          }
-          for (std::size_t k = 0; k < runnable.size(); ++k) {
-            PointResult& slot = result.points[runnable[k]];
-            fill_plan(slot, plan);
-            fill_measured(slot, measured[k], base_goodputs[k]);
-            if (store) {
-              store->store_point(runnable_keys[k], to_cached_point(slot));
-            }
-            simulated.fetch_add(1, std::memory_order_relaxed);
-            meter.tick(false);
-          }
-        }
-      } catch (const std::exception& e) {
-        // Planning or the batch run failed: every replicate that has not
-        // been resolved yet (still kSkipped) inherits the error and gives
-        // up its claim so a peer can retry immediately.
-        for (std::size_t k = 0; k < miss.size(); ++k) {
-          PointResult& slot = result.points[miss[k]];
-          if (slot.status != PointStatus::kSkipped) continue;
-          if (store) store->release_point(miss_keys[k]);
-          slot.status = PointStatus::kFailed;
-          slot.error = e.what();
-          meter.tick(false);
-        }
-        if (options.cancel_on_failure) {
-          cancel.store(true, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-
-  // Drain points leased to peer processes (same protocol as the baseline
-  // drain above).
-  while (store && !deferred_points.empty()) {
-    if (cancel.load(std::memory_order_relaxed)) {
-      for (std::size_t i : deferred_points) {
-        (void)i;
-        meter.tick(false);  // slots stay kSkipped
-      }
-      deferred_points.clear();
-      break;
-    }
-    std::this_thread::sleep_for(poll_interval);
-    store->refresh();
-    std::vector<std::size_t> still;
-    for (std::size_t i : deferred_points) {
-      PointResult& slot = result.points[i];
-      const std::uint64_t key = point_key(spec, slot.point, slot.seed);
-      bool claimed = false;
-      try {
-        CachedPoint cached;
-        if (store->lookup_point(key, cached)) {
-          fill_cached_point(slot, cached);
-          cache_hits.fetch_add(1, std::memory_order_relaxed);
-          meter.tick(true);
-          continue;
-        }
-        const ClaimStatus st = store->claim_point(key);
-        if (st == ClaimStatus::kBusy) {
-          still.push_back(i);
-          continue;
-        }
-        if (st == ClaimStatus::kDone && store->lookup_point(key, cached)) {
-          fill_cached_point(slot, cached);
-          cache_hits.fetch_add(1, std::memory_order_relaxed);
-          meter.tick(true);
-          continue;
-        }
-        claimed = (st == ClaimStatus::kAcquired);
-        const BaselineSlot& baseline = baselines[baseline_index.at(
-            slot.point.flows, slot.point.replicate)];
-        if (!baseline.ok) {
-          throw std::runtime_error("baseline failed: " + baseline.error);
-        }
-        const ScenarioConfig scenario = spec.make_scenario(slot.point);
-        const AttackPlan plan = plan_point_attack(scenario, slot.point);
-        fill_plan(slot, plan);
-        GainMeasurement measured;
-        {
-          WorkspaceLease ws(workspaces);
-          measured = ws->gain(scenario, plan.train, slot.point.kappa,
-                              spec.control, baseline.goodput);
-        }
-        fill_measured(slot, measured, baseline.goodput);
-        store->store_point(key, to_cached_point(slot));
-        simulated.fetch_add(1, std::memory_order_relaxed);
-        meter.tick(false);
-      } catch (const std::exception& e) {
-        if (claimed) store->release_point(key);
-        slot.status = PointStatus::kFailed;
-        slot.error = e.what();
-        if (options.cancel_on_failure) {
-          cancel.store(true, std::memory_order_relaxed);
-        }
-        meter.tick(false);
-      }
-    }
-    deferred_points.swap(still);
-  }
-
-  result.cache_hits = cache_hits.load(std::memory_order_relaxed);
-  result.simulated = simulated.load(std::memory_order_relaxed);
-
+  result.cache_hits = run.cache_hits();
+  result.simulated = run.simulated();
+  result.cancelled = run.cancelled();
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  result.cancelled = cancel.load(std::memory_order_relaxed);
   return result;
 }
 

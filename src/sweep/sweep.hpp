@@ -59,14 +59,6 @@ struct SweepSpec {
   /// a cache written at one shard count replays at any other. Workers run
   /// the shard rounds inline (they are already one-per-core).
   int shards = 1;
-  /// Batched replicate execution (DESIGN.md §14): when replicates > 1, each
-  /// worker leases one ReplicateBatch and runs a point's R seed-varied
-  /// replicates as co-resident simulations (shared attack plan, warm slots,
-  /// time-sliced event loops; the fluid tier solves once per point). Spec
-  /// files select it with `batch_replicates = on|off`. Results are
-  /// bit-identical to sequential execution — like `shards`, this is an
-  /// execution-strategy knob, so cache keys deliberately EXCLUDE it.
-  bool batch_replicates = true;
 
   // Cartesian axes (ignored when `explicit_points` is non-empty).
   std::vector<int> flow_counts = {15};
@@ -94,6 +86,9 @@ struct SweepSpec {
   /// the figure harnesses.
   std::vector<PointSpec> enumerate() const;
 
+  /// Throws ParameterError, naming the field, for a spec no point could
+  /// run: empty axes, bad counts, or a scenario (probed once per flow
+  /// count) that ScenarioConfig::validate rejects.
   void validate() const;
 };
 
@@ -139,7 +134,9 @@ struct PointResult {
   PointSpec point;
   std::uint64_t seed = 0;
   PointStatus status = PointStatus::kSkipped;
-  std::string error;  // set when status == kFailed
+  /// Why the row is not kOk: the failure, or for kSkipped rows
+  /// "skipped: sweep cancelled after: <the failure that cancelled it>".
+  std::string error;
 
   // Analytic predictions (Eq. 12/13) and the C_Ψ of the pulse shape.
   double c_psi = 0.0;
@@ -229,7 +226,8 @@ struct SweepProgress {
 struct SweepOptions {
   int threads = 0;  // <= 0: ThreadPool::default_threads()
   /// Stop dispatching new points after the first failure; undispatched
-  /// points are reported as kSkipped and the result as cancelled.
+  /// points are reported as kSkipped, with an error naming that failure,
+  /// and the result as cancelled.
   bool cancel_on_failure = true;
   /// Called with the pool's progress after each task; invocations are
   /// serialized, but may come from any worker thread.
@@ -252,7 +250,8 @@ struct SweepOptions {
 };
 
 /// Execute the sweep: baselines first (one per unique (flows, replicate)),
-/// then every point, all across the pool.
+/// then every point, all across the pool. Each phase ends by draining the
+/// tasks a claiming store deferred (see `SweepOptions::store`).
 SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options = {});
 
 }  // namespace pdos::sweep

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <random>
@@ -175,9 +176,23 @@ TEST(RunSweep, CancellationPropagates) {
   EXPECT_EQ(result.failures(), 1u);
   EXPECT_EQ(result.points[0].status, PointStatus::kFailed);
   EXPECT_FALSE(result.points[0].error.empty());
+  // Every skipped row names the failure that cancelled the sweep, in the
+  // CSV and JSON tables alike.
+  const std::string cause =
+      "skipped: sweep cancelled after: " + result.points[0].error;
   for (std::size_t i = 1; i < result.points.size(); ++i) {
     EXPECT_EQ(result.points[i].status, PointStatus::kSkipped);
+    EXPECT_EQ(result.points[i].error, cause);
   }
+  std::ostringstream csv;
+  std::ostringstream json;
+  result.write_csv(csv);
+  result.write_json(json);
+  EXPECT_NE(csv.str().find(",skipped,"), std::string::npos);
+  EXPECT_NE(csv.str().find("skipped: sweep cancelled after: "),
+            std::string::npos);
+  EXPECT_NE(json.str().find("\"error\": \"skipped: sweep cancelled after: "),
+            std::string::npos);
 }
 
 TEST(RunSweep, KeepGoingRunsPastFailures) {
@@ -222,8 +237,7 @@ TEST(RunSweep, ProgressReachesTotal) {
 }
 
 TEST(RunSweep, CacheHitsAreWeightedNearZeroInEta) {
-  // Satellite of DESIGN.md §14: the ETA extrapolates wall cost from the
-  // SIMULATED tasks only. An all-hit --resume replay must report eta 0 and
+  // The ETA extrapolates wall cost from the SIMULATED tasks only. An all-hit --resume replay must report eta 0 and
   // cached == done at every snapshot, instead of pricing microsecond cache
   // replays at full simulation cost.
   char name[] = "/tmp/pdos_sweep_eta_test_XXXXXX";
@@ -325,6 +339,39 @@ TEST(SpecParser, RejectsUnknownKeysAndGarbage) {
   EXPECT_THROW(parse_spec("flows = abc\n"), ParameterError);
   EXPECT_THROW(parse_spec("scenario = ns3\n"), ParameterError);
   EXPECT_THROW(parse_spec("backend = warp\n"), ParameterError);
+  // Integer keys take exact integers: no truncation, no range overflow.
+  for (const char* key : {"shards", "flows", "replicates", "gamma_points",
+                          "threads", "hybrid_foreground", "base_seed"}) {
+    SCOPED_TRACE(key);
+    const std::string k = key;
+    EXPECT_THROW(parse_spec(k + " = 4.7\n"), ParameterError);
+    EXPECT_THROW(parse_spec(k + " = 1e3\n"), ParameterError);
+    EXPECT_THROW(parse_spec(k + " = -1\n"), ParameterError);
+    EXPECT_THROW(parse_spec(k + " = 99999999999999999999999\n"),
+                 ParameterError);
+  }
+  EXPECT_THROW(parse_spec("replicates = 2147483648\n"), ParameterError);
+  EXPECT_THROW(parse_spec("flows = 15, 2.5\n"), ParameterError);
+  EXPECT_THROW(parse_spec("shards = 0\n"), ParameterError);
+  EXPECT_THROW(parse_spec("gamma_points = 1\n"), ParameterError);
+  // base_seed is read as a uint64, not through a double: 2^53 + 1 survives.
+  EXPECT_EQ(parse_spec("base_seed = 9007199254740993\n").spec.base_seed,
+            9007199254740993ull);
+  EXPECT_EQ(parse_spec("base_seed = 18446744073709551615\n").spec.base_seed,
+            18446744073709551615ull);
+  // Combinations no point could run fail at parse time, naming the field.
+  try {
+    parse_spec("backend = fluid\nshards = 4\n");
+    ADD_FAILURE() << "fluid with shards = 4 parsed";
+  } catch (const ParameterError& e) {
+    EXPECT_NE(std::string(e.what()).find("shards"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(parse_spec("backend = hybrid\nqueue = droptail\n"),
+               ParameterError);
+  EXPECT_THROW(parse_spec("backend = hybrid\nflows = 4\n"
+                          "hybrid_foreground = 4\n"),
+               ParameterError);
 }
 
 TEST(RunSweep, FluidBackendProducesComparableDegradation) {
@@ -410,6 +457,68 @@ TEST(SweepResult, CsvHasHeaderAndOneRowPerPoint) {
   for (char c : csv) lines += c == '\n';
   EXPECT_EQ(lines, 1u + result.points.size());
   EXPECT_EQ(csv.find("index,scenario_flows,"), 0u);
+}
+
+TEST(AggregateReplicates, MeanStddevAndCiOverReplicates) {
+  // Hand-checkable statistics: two axes groups, one with gains {1, 2, 3}
+  // (mean 2, sample stddev 1), one with a failed replicate excluded.
+  SweepResult result;
+  auto push = [&result](double gamma, int replicate, double gain,
+                        PointStatus status) {
+    PointResult r;
+    r.index = result.points.size();
+    r.point.gamma = gamma;
+    r.point.replicate = replicate;
+    r.status = status;
+    r.measured_gain = gain;
+    r.measured_degradation = gain / 2.0;
+    r.goodput = gain * 1e6;
+    result.points.push_back(r);
+  };
+  push(0.3, 0, 1.0, PointStatus::kOk);
+  push(0.3, 1, 2.0, PointStatus::kOk);
+  push(0.3, 2, 3.0, PointStatus::kOk);
+  push(0.6, 0, 5.0, PointStatus::kOk);
+  push(0.6, 1, 0.0, PointStatus::kFailed);
+  push(0.6, 2, 7.0, PointStatus::kOk);
+
+  const std::vector<AggregateRow> rows = aggregate_replicates(result);
+  ASSERT_EQ(rows.size(), 2u);
+
+  EXPECT_EQ(rows[0].replicates, 3u);
+  EXPECT_DOUBLE_EQ(rows[0].mean_gain, 2.0);
+  EXPECT_DOUBLE_EQ(rows[0].stddev_gain, 1.0);
+  EXPECT_DOUBLE_EQ(rows[0].ci95_gain, 1.96 / std::sqrt(3.0));
+  EXPECT_DOUBLE_EQ(rows[0].mean_degradation, 1.0);
+  EXPECT_DOUBLE_EQ(rows[0].mean_goodput, 2e6);
+
+  EXPECT_EQ(rows[1].replicates, 2u);  // the failed replicate is excluded
+  EXPECT_DOUBLE_EQ(rows[1].mean_gain, 6.0);
+  EXPECT_DOUBLE_EQ(rows[1].stddev_gain, std::sqrt(2.0));
+
+  std::ostringstream csv;
+  write_aggregate_csv(rows, csv);
+  EXPECT_NE(csv.str().find("mean_gain"), std::string::npos);
+  EXPECT_NE(csv.str().find("ci95_gain"), std::string::npos);
+
+  std::ostringstream json;
+  write_aggregate_json(rows, json);
+  EXPECT_EQ(json.str().front(), '[');
+  EXPECT_NE(json.str().find("\"replicates\": 3"), std::string::npos);
+}
+
+TEST(AggregateReplicates, SingleReplicateHasZeroSpread) {
+  SweepResult result;
+  PointResult r;
+  r.status = PointStatus::kOk;
+  r.measured_gain = 4.2;
+  result.points.push_back(r);
+  const auto rows = aggregate_replicates(result);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].replicates, 1u);
+  EXPECT_DOUBLE_EQ(rows[0].mean_gain, 4.2);
+  EXPECT_DOUBLE_EQ(rows[0].stddev_gain, 0.0);
+  EXPECT_DOUBLE_EQ(rows[0].ci95_gain, 0.0);
 }
 
 }  // namespace

@@ -1,25 +1,25 @@
-// Engine + data-path + sweep + scale + fluid + pdes + replicate
+// Engine + data-path + sweep + scale + fluid + pdes + campaign
 // performance report: measures the scheduler and packet data-path
 // micro-benchmarks, scenario setup (fresh vs warm-reset), the LargeScale
 // fast-path scenarios (interleaved fast/full A/B), the fluid-surrogate vs
 // packet A/B on a fig. 6 quick grid point, the sharded-vs-single PDES A/B
-// on a 10 Gbps LargeScale scenario, the sequential-vs-batched replicate
-// A/B at R = 8 (DESIGN.md §14), the 1-worker vs K-worker multi-process
+// on a 10 Gbps LargeScale scenario, the 1-worker vs K-worker multi-process
 // campaign A/B over a shared CampaignStore (DESIGN.md §15), and a fixed
 // fig. 6 quick-mode sweep (cold and cache-resumed), and writes
 // BENCH_engine.json, BENCH_datapath.json, BENCH_sweep.json,
-// BENCH_scale.json, BENCH_fluid.json, BENCH_pdes.json,
-// BENCH_replicate.json, and BENCH_campaign.json.
+// BENCH_scale.json, BENCH_fluid.json, BENCH_pdes.json, and
+// BENCH_campaign.json.
 //
 // This is the tracked-baseline half of the perf story: google-benchmark
 // (bench/micro_engine, bench/micro_datapath, bench/micro_setup,
-// bench/micro_largescale, bench/micro_fluid, bench/micro_replicate) is for
+// bench/micro_largescale, bench/micro_fluid, bench/micro_campaign) is for
 // interactive work, while this tool emits stable, machine-readable
 // snapshots that CI diffs against the committed bench/baseline_engine.json,
 // bench/baseline_datapath.json, bench/baseline_sweep.json,
-// bench/baseline_scale.json, bench/baseline_fluid.json, and
-// bench/baseline_replicate.json. The JSON is flat `"key": number` pairs so
-// the reader below stays a 30-line scanner instead of a JSON library.
+// bench/baseline_scale.json, bench/baseline_fluid.json,
+// bench/baseline_pdes.json, and bench/baseline_campaign.json. The JSON is
+// flat `"key": number` pairs so the reader below stays a 30-line scanner
+// instead of a JSON library.
 //
 // Usage:
 //   bench_report [--out FILE] [--baseline FILE] [--datapath-out FILE]
@@ -28,7 +28,6 @@
 //                [--scale-baseline FILE] [--fluid-out FILE]
 //                [--fluid-baseline FILE] [--pdes-out FILE]
 //                [--pdes-baseline FILE] [--fluid-surface-out FILE]
-//                [--replicate-out FILE] [--replicate-baseline FILE]
 //                [--campaign-out FILE] [--campaign-baseline FILE]
 //                [--check] [--reps N] [--skip-sweep]
 //
@@ -74,25 +73,6 @@
 //   --fluid-surface-out FILE  also emit the fluid-tier attack-gain surface
 //                             (γ × T_extent grid, long-format CSV:
 //                             textent_ms,gamma,degradation,gain) to FILE
-//   --replicate-out FILE      replicate-batching output (default
-//                             BENCH_replicate.json)
-//   --replicate-baseline FILE committed replicate reference; the batched
-//                             replicate throughputs (packet and fluid tier)
-//                             are gated against it, and under --check the
-//                             fluid tier's batched-vs-sequential replicate
-//                             speedup at R = 8 must additionally clear the
-//                             >= 1.3x floor (DESIGN.md §14). The packet
-//                             tier's speedup rides along as information:
-//                             co-resident packet replicates execute the
-//                             same events as sequential ones, so their win
-//                             is locality, not work elimination — the fluid
-//                             tier is where batching eliminates R - 1
-//                             solves outright. The committed baseline's
-//                             throughput values are deliberately
-//                             conservative: the fluid batched wall is
-//                             microseconds and jitters well past the 30%
-//                             tolerance run to run; the 1.3x same-machine
-//                             floor (measured ~8x) is the real promise.
 //   --campaign-out FILE       multi-process campaign output (default
 //                             BENCH_campaign.json)
 //   --campaign-baseline FILE  committed campaign reference; the K-worker
@@ -139,7 +119,6 @@
 #include "sim/timer.hpp"
 #include "stats/stats_hub.hpp"
 #include "sweep/campaign.hpp"
-#include "sweep/replicate_batch.hpp"
 #include "sweep/sweep.hpp"
 #include "sweep/thread_pool.hpp"
 #include "util/units.hpp"
@@ -190,17 +169,6 @@ constexpr int kFluidBatchWidth = 8;
 constexpr double kPdesSpeedupFloor = 3.0;
 constexpr unsigned kPdesFloorMinThreads = 4;
 constexpr int kPdesShards = 4;
-
-// The replicate-batching contract (DESIGN.md §14): running the fig. 6
-// quick grid point's R = 8 seed-varied replicates through a warm
-// ReplicateBatch must beat R sequential runs by at least this much on the
-// fluid tier, where the batch solves the seed-invariant system once and
-// fans the result out. A same-machine ratio, gated directly under --check.
-// The packet tier has no equivalent floor: its replicates execute the same
-// events batched or not (the batch wins shared planning and workspace
-// reuse, not event work), so only its baseline-gated throughput is tracked.
-constexpr double kReplicateSpeedupFloor = 1.3;
-constexpr int kReplicateCount = 8;
 
 // The multi-process campaign contract (DESIGN.md §15): a cold
 // kCampaignWorkers-process campaign over a shared CampaignStore must beat
@@ -579,62 +547,6 @@ FluidSimdMeasurement measure_fluid_simd(int reps) {
   return m;
 }
 
-// --- replicate batching (DESIGN.md §14) ----------------------------------
-
-/// Sequential-vs-batched A/B of the fig. 6 quick grid point's R = 8
-/// replicates, per backend tier. Both arms run warm (a throwaway first
-/// pass sizes the arenas) and interleaved best-of-reps, like the other
-/// same-machine A/Bs in this tool.
-struct ReplicateMeasurement {
-  double sequential_wall = 0.0;  // R replicates, one warm workspace
-  double batched_wall = 0.0;     // R replicates, one warm ReplicateBatch
-};
-
-ReplicateMeasurement measure_replicates(Backend backend, int reps) {
-  ScenarioConfig config = ScenarioConfig::ns2_dumbbell(15);
-  config.backend = backend;
-  const PulseTrain train =
-      PulseTrain::from_gamma(ms(50), mbps(25), 0.5, config.bottleneck);
-  RunControl control;
-  control.warmup = sec(5);
-  control.measure = sec(15);
-  std::vector<std::uint64_t> seeds;
-  for (int r = 0; r < kReplicateCount; ++r) {
-    seeds.push_back(sweep::replicate_seed(1, r));
-  }
-
-  ScenarioWorkspace ws;
-  sweep::ReplicateBatch batch;
-  const auto sequential_pass = [&] {
-    for (std::uint64_t seed : seeds) {
-      ScenarioConfig replicate = config;
-      replicate.seed = seed;
-      const RunResult result = ws.run(replicate, train, control);
-      g_sink += static_cast<long long>(result.events_executed);
-    }
-  };
-  const auto batched_pass = [&] {
-    const std::vector<RunResult> results =
-        batch.run(config, train, control, seeds);
-    g_sink += static_cast<long long>(results.front().events_executed);
-  };
-  sequential_pass();  // warm both arms outside the clock
-  batched_pass();
-
-  ReplicateMeasurement m;
-  m.sequential_wall = std::numeric_limits<double>::infinity();
-  m.batched_wall = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < reps; ++r) {
-    auto start = Clock::now();
-    sequential_pass();
-    m.sequential_wall = std::min(m.sequential_wall, seconds_since(start));
-    start = Clock::now();
-    batched_pass();
-    m.batched_wall = std::min(m.batched_wall, seconds_since(start));
-  }
-  return m;
-}
-
 // --- PDES sharded-run A/B (mirror tests/pdes, DESIGN.md §13) -------------
 
 /// The intra-run parallelism target scenario: 10k flows on a 10 Gbps
@@ -983,8 +895,6 @@ int main(int argc, char** argv) {
   std::string fluid_baseline_path;
   std::string pdes_out_path = "BENCH_pdes.json";
   std::string pdes_baseline_path;
-  std::string replicate_out_path = "BENCH_replicate.json";
-  std::string replicate_baseline_path;
   std::string campaign_out_path = "BENCH_campaign.json";
   std::string campaign_baseline_path;
   std::string fluid_surface_path;
@@ -1017,11 +927,6 @@ int main(int argc, char** argv) {
       pdes_out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--pdes-baseline") == 0 && i + 1 < argc) {
       pdes_baseline_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--replicate-out") == 0 && i + 1 < argc) {
-      replicate_out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--replicate-baseline") == 0 &&
-               i + 1 < argc) {
-      replicate_baseline_path = argv[++i];
     } else if (std::strcmp(argv[i], "--campaign-out") == 0 && i + 1 < argc) {
       campaign_out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--campaign-baseline") == 0 &&
@@ -1044,7 +949,6 @@ int main(int argc, char** argv) {
                    "[--scale-out FILE] [--scale-baseline FILE] "
                    "[--fluid-out FILE] [--fluid-baseline FILE] "
                    "[--pdes-out FILE] [--pdes-baseline FILE] "
-                   "[--replicate-out FILE] [--replicate-baseline FILE] "
                    "[--campaign-out FILE] [--campaign-baseline FILE] "
                    "[--fluid-surface-out FILE] "
                    "[--check] [--reps N] [--skip-sweep]\n");
@@ -1054,7 +958,7 @@ int main(int argc, char** argv) {
   if (check && baseline_path.empty() && datapath_baseline_path.empty() &&
       sweep_baseline_path.empty() && scale_baseline_path.empty() &&
       fluid_baseline_path.empty() && pdes_baseline_path.empty() &&
-      replicate_baseline_path.empty() && campaign_baseline_path.empty()) {
+      campaign_baseline_path.empty()) {
     std::fprintf(stderr, "bench_report: --check requires a baseline\n");
     return 2;
   }
@@ -1174,32 +1078,6 @@ int main(int argc, char** argv) {
   pdes_micros[0].rate =
       static_cast<double>(pdes.sharded_events) / pdes.sharded_wall;
 
-  // Replicate family: the fig. 6 quick grid point's R = 8 replicates,
-  // sequential vs one warm ReplicateBatch, on the packet and fluid tiers.
-  // The gated metrics are the batched replicate throughputs; the walls and
-  // speedups ride along, and under --check the fluid-tier speedup must
-  // clear kReplicateSpeedupFloor.
-  const ReplicateMeasurement replicate_packet =
-      measure_replicates(Backend::kFull, std::max(2, reps / 2));
-  const ReplicateMeasurement replicate_fluid =
-      measure_replicates(Backend::kFluid, reps);
-  const double replicate_packet_speedup =
-      replicate_packet.batched_wall > 0.0
-          ? replicate_packet.sequential_wall / replicate_packet.batched_wall
-          : 0.0;
-  const double replicate_fluid_speedup =
-      replicate_fluid.batched_wall > 0.0
-          ? replicate_fluid.sequential_wall / replicate_fluid.batched_wall
-          : 0.0;
-  std::vector<Micro> replicate_micros = {
-      {"replicate_packet_batched_items_per_sec", kReplicateCount},
-      {"replicate_fluid_batched_items_per_sec", kReplicateCount},
-  };
-  replicate_micros[0].rate =
-      static_cast<double>(kReplicateCount) / replicate_packet.batched_wall;
-  replicate_micros[1].rate =
-      static_cast<double>(kReplicateCount) / replicate_fluid.batched_wall;
-
   // Campaign family: cold 1-worker vs cold kCampaignWorkers-worker campaign
   // over a shared CampaignStore, plus an all-hit resume. The gated metric
   // is the multi-worker cold campaign's task throughput; the walls, the
@@ -1306,36 +1184,6 @@ int main(int argc, char** argv) {
                                static_cast<double>(pdes.executor_threads)});
   pdes_entries.push_back(Entry{"pdes_speedup_vs_shard1", pdes_speedup});
   pdes_entries.push_back(Entry{"pdes_speedup_floor", kPdesSpeedupFloor});
-  std::vector<Entry> replicate_entries;
-  for (const Micro& m : replicate_micros) {
-    std::printf("%-36s %12.2f replicates/s\n", m.key, m.rate);
-    replicate_entries.push_back(Entry{m.key, m.rate});
-  }
-  std::printf("replicate_packet R=%d: sequential %.3f s, batched %.3f s, "
-              "speedup %.2fx (informational)\n",
-              kReplicateCount, replicate_packet.sequential_wall,
-              replicate_packet.batched_wall, replicate_packet_speedup);
-  std::printf("replicate_fluid  R=%d: sequential %.6f s, batched %.6f s, "
-              "speedup %.2fx (floor %.1fx)\n",
-              kReplicateCount, replicate_fluid.sequential_wall,
-              replicate_fluid.batched_wall, replicate_fluid_speedup,
-              kReplicateSpeedupFloor);
-  replicate_entries.push_back(Entry{"replicate_count",
-                                    static_cast<double>(kReplicateCount)});
-  replicate_entries.push_back(Entry{"replicate_packet_sequential_wall_seconds",
-                                    replicate_packet.sequential_wall});
-  replicate_entries.push_back(Entry{"replicate_packet_batched_wall_seconds",
-                                    replicate_packet.batched_wall});
-  replicate_entries.push_back(Entry{"replicate_packet_batched_speedup",
-                                    replicate_packet_speedup});
-  replicate_entries.push_back(Entry{"replicate_fluid_sequential_wall_seconds",
-                                    replicate_fluid.sequential_wall});
-  replicate_entries.push_back(Entry{"replicate_fluid_batched_wall_seconds",
-                                    replicate_fluid.batched_wall});
-  replicate_entries.push_back(Entry{"replicate_fluid_batched_speedup",
-                                    replicate_fluid_speedup});
-  replicate_entries.push_back(Entry{"replicate_speedup_floor",
-                                    kReplicateSpeedupFloor});
   std::vector<Entry> campaign_entries;
   for (const Micro& m : campaign_micros) {
     std::printf("%-36s %12.2f tasks/s\n", m.key, m.rate);
@@ -1458,10 +1306,6 @@ int main(int argc, char** argv) {
     regressions += apply_baseline(pdes_baseline_path, pdes_micros, check,
                                   pdes_entries);
   }
-  if (!replicate_baseline_path.empty()) {
-    regressions += apply_baseline(replicate_baseline_path, replicate_micros,
-                                  check, replicate_entries);
-  }
   if (!campaign_baseline_path.empty()) {
     regressions += apply_baseline(campaign_baseline_path, campaign_micros,
                                   check, campaign_entries);
@@ -1494,16 +1338,6 @@ int main(int argc, char** argv) {
                    campaign.csv_identical ? "identical" : "diverged");
       ++regressions;
     }
-  }
-  if (check && replicate_fluid_speedup < kReplicateSpeedupFloor) {
-    // Same-machine floor like the fluid and PDES ones (DESIGN.md §14): the
-    // batch's once-per-point fluid solve must actually pay off.
-    std::fprintf(stderr,
-                 "REGRESSION: fluid-tier batched replicates are only %.2fx "
-                 "faster than sequential at R=%d (floor: %.1fx)\n",
-                 replicate_fluid_speedup, kReplicateCount,
-                 kReplicateSpeedupFloor);
-    ++regressions;
   }
   if (check) {
     // Satellite gate (DESIGN.md §13): the sharded run must actually be
@@ -1572,9 +1406,6 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", fluid_out_path.c_str());
   write_json(pdes_out_path, "pdos-bench-pdes-v1", pdes_entries);
   std::printf("wrote %s\n", pdes_out_path.c_str());
-  write_json(replicate_out_path, "pdos-bench-replicate-v1",
-             replicate_entries);
-  std::printf("wrote %s\n", replicate_out_path.c_str());
   write_json(campaign_out_path, "pdos-bench-campaign-v1", campaign_entries);
   std::printf("wrote %s\n", campaign_out_path.c_str());
   if (!fluid_surface_path.empty()) {

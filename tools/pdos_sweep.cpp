@@ -20,7 +20,8 @@
 // work claiming and share every result (see README.md, "Running
 // campaigns"). `--progress-json` emits machine-readable JSON-lines
 // progress on stderr for orchestrators and CI logs.
-// Exit status: 0 on success, 1 when any point failed.
+// Exit status: 0 on success, 1 when any point failed, 2 on a usage or spec
+// error (including a spec whose grid enumerates no points).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -98,6 +99,14 @@ int main(int argc, char** argv) {
   }
 
   const auto points = file.spec.enumerate();
+  if (points.empty()) {
+    // Every γ fell outside (0, min(1, C_attack)): a usage error, not an
+    // empty result table.
+    std::fprintf(stderr,
+                 "pdos_sweep: the spec enumerates no points: no gamma lies "
+                 "in (0, min(1, rattack_mbps / bottleneck))\n");
+    return 2;
+  }
   if (progress_json) {
     // One JSON object per finished task, machine-readable on stderr (the
     // CSV table owns stdout). Orchestrators and CI logs consume this.
