@@ -8,26 +8,26 @@
 //                   [--gamma G | --no-attack] [--kappa K]
 //                   [--warmup S] [--measure S] [--seed N]
 //                   [--backend full|fast|fluid|hybrid] [--foreground N]
-//                   [--shards K]
 //   scenario_runner --sweep SPECFILE [--threads N]
-//
-// --shards K >= 2 partitions the single run into K logical processes and
-// runs the per-round shard tasks on a thread pool spanning the machine
-// (conservative PDES, DESIGN.md §13). Results are bit-identical to
-// --shards 1; only the wall clock changes. Packet backends only.
 //
 // The first form prints baseline and attacked goodput, measured vs
 // predicted degradation, queue drop counters and TCP state statistics for
 // a single run. The second hands a key=value campaign spec (see
 // src/sweep/spec.hpp) to the parallel sweep engine and prints its CSV
 // table to stdout (or the spec's `csv =` path).
+//
+// Exit status: 0 on success, 1 when a sweep point failed, 2 on a usage or
+// configuration error — an unknown flag, a value that does not parse, or a
+// scenario or spec that cannot run — with a message naming the flag.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
+#include <map>
+#include <set>
 #include <string>
+#include <type_traits>
 
 #include "pdos/pdos.hpp"
 
@@ -35,36 +35,80 @@ using namespace pdos;
 
 namespace {
 
-double arg_of(int argc, char** argv, const char* flag, double fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return std::atof(argv[i + 1]);
+// Every flag the runner understands. Anything else is a usage error, so a
+// typo or a retired flag fails instead of silently running the defaults.
+const std::set<std::string> kValueFlags = {
+    "--flows",   "--bottleneck", "--buffer",  "--queue",   "--tcp",
+    "--rtomin",  "--textent",    "--rattack", "--gamma",   "--kappa",
+    "--warmup",  "--measure",    "--seed",    "--backend", "--foreground",
+    "--sweep",   "--threads"};
+const std::set<std::string> kSwitches = {"--no-attack"};
+
+/// The parsed command line. Throws ParameterError naming the flag on an
+/// unknown flag, a missing value, or a value that does not parse.
+class Args {
+ public:
+  Args(int argc, char** argv) {
+    for (int i = 1; i < argc; ++i) {
+      const std::string flag = argv[i];
+      if (kSwitches.count(flag) != 0) {
+        switches_.insert(flag);
+      } else if (kValueFlags.count(flag) != 0) {
+        PDOS_REQUIRE(i + 1 < argc, flag + ": missing value");
+        values_[flag] = argv[++i];
+      } else {
+        throw ParameterError("unknown flag '" + flag + "'");
+      }
+    }
   }
-  return fallback;
-}
 
-std::string arg_of(int argc, char** argv, const char* flag,
-                   const std::string& fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
+  bool has(const std::string& flag) const {
+    return switches_.count(flag) != 0 || values_.count(flag) != 0;
   }
-  return fallback;
-}
 
-bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
+  std::string text(const std::string& flag,
+                   const std::string& fallback) const {
+    const auto it = values_.find(flag);
+    return it == values_.end() ? fallback : it->second;
   }
-  return false;
-}
 
-}  // namespace
+  /// A numeric flag: the whole value must parse as a T (a finite number,
+  /// or an exact base-10 integer for integral T).
+  template <typename T>
+  T number(const std::string& flag, T fallback) const {
+    const auto it = values_.find(flag);
+    if (it == values_.end()) return fallback;
+    const std::string& value = it->second;
+    T parsed{};
+    const char* end = value.data() + value.size();
+    const auto [stop, error] = std::from_chars(value.data(), end, parsed);
+    bool ok = error == std::errc() && stop == end;
+    if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(parsed);
+    PDOS_REQUIRE(ok, flag + ": not " +
+                         (std::is_integral_v<T> ? "an integer" : "a number") +
+                         ": '" + value + "'");
+    return parsed;
+  }
 
-namespace {
+  /// A flag whose value must be one of `choices`.
+  std::string choice(const std::string& flag, const std::string& fallback,
+                     const std::set<std::string>& choices) const {
+    const std::string value = text(flag, fallback);
+    PDOS_REQUIRE(choices.count(value) != 0,
+                 flag + ": unknown value '" + value + "'");
+    return value;
+  }
 
-int run_sweep_mode(const std::string& spec_path, int argc, char** argv) {
+ private:
+  std::map<std::string, std::string> values_;
+  std::set<std::string> switches_;
+};
+
+int run_sweep_mode(const std::string& spec_path, const Args& args) {
   sweep::SpecFile file = sweep::load_spec_file(spec_path);
-  const double threads = arg_of(argc, argv, "--threads", 0.0);
-  if (threads > 0.0) file.options.threads = static_cast<int>(threads);
+  sweep::enumerate_nonempty(file.spec);
+  const int threads = args.number("--threads", 0);
+  if (threads > 0) file.options.threads = threads;
   file.options.on_progress = [](const sweep::SweepProgress& progress) {
     std::fprintf(stderr, "\r%zu/%zu done, eta %.1fs  ", progress.done,
                  progress.total, progress.eta_seconds);
@@ -89,81 +133,59 @@ int run_sweep_mode(const std::string& spec_path, int argc, char** argv) {
   return result.failures() == 0 && !result.cancelled ? 0 : 1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const std::string spec_path = arg_of(argc, argv, "--sweep", std::string());
-  if (!spec_path.empty()) return run_sweep_mode(spec_path, argc, argv);
-
-  ScenarioConfig scenario = ScenarioConfig::ns2_dumbbell(
-      static_cast<int>(arg_of(argc, argv, "--flows", 15)));
-  scenario.bottleneck = mbps(arg_of(argc, argv, "--bottleneck", 15.0));
-  scenario.buffer_packets = static_cast<std::size_t>(
-      arg_of(argc, argv, "--buffer",
-             static_cast<double>(scenario.buffer_packets)));
+int run_single(const Args& args) {
+  ScenarioConfig scenario =
+      ScenarioConfig::ns2_dumbbell(args.number("--flows", 15));
+  scenario.bottleneck = mbps(args.number("--bottleneck", 15.0));
+  scenario.buffer_packets =
+      args.number<std::size_t>("--buffer", scenario.buffer_packets);
   scenario.tcp.rto_min =
-      ms(arg_of(argc, argv, "--rtomin", to_ms(scenario.tcp.rto_min)));
-  scenario.seed = static_cast<std::uint64_t>(arg_of(argc, argv, "--seed", 1));
+      ms(args.number("--rtomin", to_ms(scenario.tcp.rto_min)));
+  scenario.seed = args.number<std::uint64_t>("--seed", 1);
 
-  const std::string queue = arg_of(argc, argv, "--queue", "red");
+  const std::string queue =
+      args.choice("--queue", "red", {"red", "droptail"});
   scenario.queue =
       queue == "droptail" ? QueueKind::kDropTail : QueueKind::kRed;
-  const std::string tcp = arg_of(argc, argv, "--tcp", "newreno");
+  const std::string tcp =
+      args.choice("--tcp", "newreno", {"tahoe", "reno", "newreno"});
   scenario.tcp.variant = tcp == "tahoe"  ? TcpVariant::kTahoe
                          : tcp == "reno" ? TcpVariant::kReno
                                          : TcpVariant::kNewReno;
-  const std::string backend = arg_of(argc, argv, "--backend", "full");
-  const auto parsed_backend = parse_backend(backend);
-  if (!parsed_backend) {
-    std::fprintf(stderr,
-                 "unknown --backend '%s' (want full|fast|fluid|hybrid)\n",
-                 backend.c_str());
-    return 2;
-  }
-  scenario.backend = *parsed_backend;
-  scenario.hybrid_foreground = static_cast<int>(
-      arg_of(argc, argv, "--foreground",
-             static_cast<double>(scenario.hybrid_foreground)));
-  scenario.shards = static_cast<int>(arg_of(argc, argv, "--shards", 1.0));
+  scenario.backend = *parse_backend(
+      args.choice("--backend", "full", {"full", "fast", "fluid", "hybrid"}));
+  scenario.hybrid_foreground =
+      args.number("--foreground", scenario.hybrid_foreground);
 
   RunControl control;
-  control.warmup = sec(arg_of(argc, argv, "--warmup", 5.0));
-  control.measure = sec(arg_of(argc, argv, "--measure", 20.0));
+  control.warmup = sec(args.number("--warmup", 5.0));
+  control.measure = sec(args.number("--measure", 20.0));
 
   std::printf("scenario: %d flows, %.1f Mbps %s bottleneck, B=%zu pkts, "
-              "TCP %s, minRTO=%.0fms, seed=%llu, backend=%s, shards=%d\n",
+              "TCP %s, minRTO=%.0fms, seed=%llu, backend=%s\n",
               scenario.num_flows, to_mbps(scenario.bottleneck),
               queue.c_str(), scenario.buffer_packets,
               tcp_variant_name(scenario.tcp.variant),
               to_ms(scenario.tcp.rto_min),
               static_cast<unsigned long long>(scenario.seed),
-              backend_name(scenario.backend), scenario.shards);
+              backend_name(scenario.backend));
 
-  // One warm workspace for the baseline and the attacked run. A sharded
-  // run gets a machine-wide pool executor: this is the one-big-scenario
-  // case intra-run parallelism exists for (sweeps keep the inline default).
+  // One warm workspace for the baseline and the attacked run.
   ScenarioWorkspace ws;
-  std::unique_ptr<sweep::ThreadPool> pool;
-  if (scenario.shards > 1) {
-    pool = std::make_unique<sweep::ThreadPool>();
-    ws.set_shard_executor(sweep::pool_shard_executor(*pool));
-    std::printf("pdes: %d shards on %d worker threads\n", scenario.shards,
-                pool->size());
-  }
   const BitRate baseline = ws.baseline(scenario, control);
   std::printf("baseline: %.2f Mbps goodput (%.1f%% utilization), jitter "
               "gauge below\n",
               to_mbps(baseline), 100.0 * baseline / scenario.bottleneck);
-  if (has_flag(argc, argv, "--no-attack")) return 0;
+  if (args.has("--no-attack")) return 0;
 
   AttackPlanRequest request;
   request.victim = scenario.victim_profile();
-  request.textent = ms(arg_of(argc, argv, "--textent", 50.0));
-  request.rattack = mbps(arg_of(argc, argv, "--rattack", 25.0));
-  request.kappa = arg_of(argc, argv, "--kappa", 1.0);
+  request.textent = ms(args.number("--textent", 50.0));
+  request.rattack = mbps(args.number("--rattack", 25.0));
+  request.kappa = args.number("--kappa", 1.0);
   request.victim_min_rto = scenario.tcp.rto_min;
 
-  const double gamma = arg_of(argc, argv, "--gamma", -1.0);
+  const double gamma = args.number("--gamma", -1.0);
   const AttackPlan plan = gamma > 0.0
                               ? plan_attack_at_gamma(request, gamma)
                               : plan_attack(request);
@@ -197,10 +219,20 @@ int main(int argc, char** argv) {
   std::printf("simulation:        %llu events, %llu attack packets\n",
               static_cast<unsigned long long>(run.events_executed),
               static_cast<unsigned long long>(run.attack_packets_sent));
-  if (scenario.shards > 1) {
-    std::printf("pdes:              %llu rounds, %llu cross-shard packets\n",
-                static_cast<unsigned long long>(ws.pdes_rounds()),
-                static_cast<unsigned long long>(ws.pdes_messages()));
-  }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    const Args args(argc, argv);
+    if (args.has("--sweep")) {
+      return run_sweep_mode(args.text("--sweep", ""), args);
+    }
+    return run_single(args);
+  } catch (const ParameterError& e) {
+    std::fprintf(stderr, "scenario_runner: %s\n", e.what());
+    return 2;
+  }
 }

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "attack/distributed.hpp"
-#include "core/experiment_internal.hpp"
 #include "core/model.hpp"
 #include "fluid/batch.hpp"
 #include "fluid/hybrid.hpp"
@@ -128,17 +127,11 @@ void ScenarioConfig::validate() const {
   }
   if (backend == Backend::kHybrid) {
     PDOS_REQUIRE(queue == QueueKind::kRed,
-                 "Scenario: hybrid backend requires a RED bottleneck");
+                 "Scenario: hybrid backend requires queue = red, got "
+                 "droptail");
     PDOS_REQUIRE(hybrid_foreground >= 1 && hybrid_foreground < num_flows,
                  "Scenario: hybrid needs 1 <= hybrid_foreground < num_flows");
     PDOS_REQUIRE(hybrid_tick > 0.0, "Scenario: hybrid_tick must be > 0");
-  }
-  PDOS_REQUIRE(shards >= 1, "Scenario: shards must be >= 1");
-  if (shards > 1) {
-    PDOS_REQUIRE(backend == Backend::kFull || backend == Backend::kFast,
-                 "Scenario: shards > 1 requires a packet backend");
-    PDOS_REQUIRE(shards - 1 <= num_flows,
-                 "Scenario: need at least one flow per flow shard");
   }
   tcp.validate();
 }
@@ -175,9 +168,28 @@ fluid::FluidConfig make_fluid_config(const ScenarioConfig& config) {
 
 namespace {
 
-using detail::big_fifo;
-using detail::kFlowStartStream;
-using detail::make_queue;
+// Stream tags for seed-derived randomness (see Simulator::stream). Every
+// stochastic component gets its own stream keyed off the run seed, so
+// changing one component (e.g. adding attackers) never shifts the
+// randomness another component sees — two runs with the same config and
+// seed are bit-identical even when num_attackers > 1.
+constexpr std::uint64_t kQueueStream = 0x71756575'65000000ULL;  // "queue"
+constexpr std::uint64_t kFlowStartStream = 0x666c6f77'73000000ULL;  // "flows"
+
+/// Bottleneck queue, allocated in the simulator's arena so its buffer and
+/// the links it serves share blocks (and survive warm resets).
+QueueDiscipline* make_queue(Simulator& sim, const ScenarioConfig& config) {
+  if (config.queue == QueueKind::kDropTail) {
+    return sim.make<DropTailQueue>(config.buffer_packets, sim.memory());
+  }
+  return sim.make<RedQueue>(RedParams::paper_testbed(config.buffer_packets),
+                            sim.stream(kQueueStream), sim.memory());
+}
+
+QueueDiscipline* big_fifo(Simulator& sim) {
+  // Access links are never the bottleneck; give them ample tail-drop space.
+  return sim.make<DropTailQueue>(1000, sim.memory());
+}
 
 fluid::FluidControl fluid_control_from(const RunControl& control) {
   fluid::FluidControl fctl;
@@ -465,14 +477,6 @@ RunResult ScenarioWorkspace::run(const ScenarioConfig& config,
     return run_fluid_backend(config, attack, control);
   }
 
-  if (config.shards > 1) {
-    // Conservative PDES partition (experiment_pdes.cpp): K simulators in
-    // lookahead-bounded rounds. Full backend: bit-identical to the path
-    // below, events included; fast backend: counters identical, event count
-    // differs (cross-shard links cannot fuse).
-    return run_pdes(config, attack, control);
-  }
-
   // Hybrid: carve the packet-level foreground out of the flow list; the
   // complement becomes the fluid background aggregate attached after build.
   const bool hybrid = config.backend == Backend::kHybrid;
@@ -629,15 +633,6 @@ RunResult ScenarioWorkspace::run(const ScenarioConfig& config,
 
   sim_.run_until(control.horizon());
 
-  collect_packet_result(config, control, arrivals, background_mark, result);
-  result.events_executed = sim_.scheduler().events_executed();
-  return result;
-}
-
-void ScenarioWorkspace::collect_packet_result(
-    const ScenarioConfig& config, const RunControl& control,
-    StatsHub& arrivals, const std::vector<double>& background_mark,
-    RunResult& result) {
   for (std::size_t i = 0; i < connections_.size(); ++i) {
     const Bytes flow_bytes =
         connections_[i].receiver->goodput_bytes() - goodput_marks_[i];
@@ -685,6 +680,8 @@ void ScenarioWorkspace::collect_packet_result(
     result.attack_packets_sent +=
         static_cast<std::uint64_t>(attacker->stats().packets_sent);
   }
+  result.events_executed = sim_.scheduler().events_executed();
+  return result;
 }
 
 BitRate ScenarioWorkspace::baseline(const ScenarioConfig& config,

@@ -89,8 +89,7 @@ void Scheduler::reset() {
   now_ = 0.0;
   far_horizon_ = 0.0;
   far_window_ = kFarWindow;
-  next_seq_ = kSeqBandBase;
-  front_seq_ = 0;
+  next_seq_ = 0;
   executed_ = 0;
 }
 
@@ -220,23 +219,6 @@ std::uint64_t Scheduler::run_until(Time horizon) {
     ++count;
   }
   if (now_ < horizon) now_ = horizon;
-  executed_ += count;
-  return count;
-}
-
-std::uint64_t Scheduler::run_before(Time bound) {
-  std::uint64_t count = 0;
-  for (;;) {
-    if (!shelf_.empty() && (heap_.empty() || heap_[0].when > far_horizon_)) {
-      pull_shelf();
-    }
-    if (heap_.empty() || heap_[0].when >= bound) break;
-    const std::uint32_t slot = pop_min();
-    slot_ptr(slot)->fn();  // in place: the slot cannot be re-acquired yet
-    recycle_slot(slot);
-    ++count;
-  }
-  if (now_ < bound) now_ = bound;
   executed_ += count;
   return count;
 }

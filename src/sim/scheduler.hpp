@@ -2,11 +2,13 @@
 //
 // An indexed 4-ary min-heap over virtual time. Ties are broken by the
 // instant each event's rank was claimed, then by insertion order, so runs
-// are deterministic regardless of heap internals — and so the PDES engine
-// (sim/pdes) can interleave cross-shard deliveries into ties exactly where
-// a single scheduler would have put them. For purely local scheduling the
-// claim instant is redundant (claims happen in insertion order) and lives
-// out of line in the slot, loaded only on an exact timestamp tie. Each event
+// are deterministic regardless of heap internals. For ranks claimed at
+// schedule time the claim instant is redundant (claims happen in insertion
+// order); it matters for components that claim a rank at one instant and
+// pass a different claim instant (Link's delivery lane, the pulse
+// attacker's burst chain), and the golden digests pin the resulting tie
+// order. It lives out of line in the slot, loaded only on an exact
+// timestamp tie. Each event
 // lives in a reusable slot; its `EventId` packs the slot index with a
 // generation counter, so `pending` is an O(1) array lookup and `cancel`
 // removes the entry from the heap eagerly — no dead entries are retained,
@@ -94,33 +96,16 @@ class Scheduler {
     return base;
   }
 
-  /// Claim a tie-break rank from the reserved FRONT band: it orders before
-  /// every rank `allocate_seq`/`schedule*` ever hand out AT THE SAME CLAIM
-  /// INSTANT. Used by the conservative PDES engine (sim/pdes) for
-  /// cross-shard deliveries, whose claim instants (the source-side emission
-  /// times) interleave arbitrarily with this scheduler's own claim stream —
-  /// same-timestamp ties resolve by claim instant first (see `before`), and
-  /// the front band settles the remaining exact-claim-tie in the
-  /// delivery's favour, matching the unsharded schedule where the emitting
-  /// link claimed its rank inside the event that produced the packet.
-  /// Front ranks order among themselves by claim order, which the engine
-  /// makes canonical.
-  std::uint32_t allocate_front_seq() {
-    PDOS_CHECK_MSG(front_seq_ != kSeqBandBase - 1,
-                   "front sequence space exhausted");
-    return front_seq_++;
-  }
-
   /// `schedule_at` with a caller-provided tie-break rank from
   /// `allocate_seq` plus the virtual time the rank was claimed (the value
   /// `now()` had at the `allocate_seq`/`allocate_seq_range` call). Ranks
   /// must be claimed in non-decreasing event-emission order; reusing one
   /// across two live events is undefined. The claim instant is the primary
-  /// same-timestamp tie-break (see `before`): for locally claimed ranks it
-  /// is redundant with the rank itself — claims happen in rank order as the
-  /// clock advances — but it lets the PDES engine slot a cross-shard
-  /// delivery into a tie exactly where the single-scheduler run would have,
-  /// by claiming at the source-side emission instant.
+  /// same-timestamp tie-break (see `before`): for a rank claimed at `now()`
+  /// it is redundant with the rank itself — claims happen in rank order as
+  /// the clock advances — but a caller may pass another instant (Link
+  /// passes the serialization finish), and that choice fixes the tie order
+  /// the golden digests pin.
   template <typename F>
   EventId schedule_at_sequenced(Time when, Time claim, std::uint32_t seq,
                                 F&& fn) {
@@ -171,14 +156,6 @@ class Scheduler {
   /// exactly `horizon` still run; `now()` ends at `horizon` if events remain.
   /// Returns the number of events executed.
   std::uint64_t run_until(Time horizon);
-
-  /// Half-open variant: run events with `when < bound`; events at exactly
-  /// `bound` stay pending and `now()` ends at `bound` either way. The
-  /// conservative PDES round loop (sim/pdes) advances every shard through
-  /// [T, T + lookahead) with this, so an event landing exactly on a round
-  /// boundary executes once — in the round that OWNS the boundary — never
-  /// twice. Returns the number of events executed.
-  std::uint64_t run_before(Time bound);
 
   /// Run until the queue is empty. Returns the number of events executed.
   std::uint64_t run();
@@ -236,12 +213,10 @@ class Scheduler {
     // the branch below predicts "distinct" essentially always — event keys
     // are effectively random, exact double ties are the rare rationally
     // locked case. Only a genuine tie pays the slot loads for the claim
-    // instants: claim order is rank order for locally scheduled events (so
-    // this is exactly the old FIFO-by-seq rule), but it also slots PDES
-    // cross-shard deliveries — whose ranks come from the front band and
-    // whose claims happened on another scheduler's clock — into the
-    // position the single-scheduler run gave them. Exact claim ties fall
-    // through to the rank compare, where the front band orders first.
+    // instants: claim order is rank order for events scheduled at their
+    // claim (so this is exactly the FIFO-by-seq rule), and a caller-chosen
+    // claim instant (see schedule_at_sequenced) orders by that instant.
+    // Exact claim ties fall through to the rank compare.
     if (a.when != b.when) return a.when < b.when;
     const Time ca = slot_ptr(a.slot)->claim;
     const Time cb = slot_ptr(b.slot)->claim;
@@ -283,13 +258,6 @@ class Scheduler {
     pos_.push_back(-1);
     return slot_count_++;
   }
-
-  // The normal tie-break band starts at kSeqBandBase; [0, kSeqBandBase) is
-  // reserved for allocate_front_seq. Relative order within the normal band
-  // is unchanged, and the band only decides exact (when, claim) ties, so
-  // single-scheduler runs are bit-identical to the pre-band scheduler (the
-  // digest suites pin this).
-  static constexpr std::uint32_t kSeqBandBase = 0x80000000u;
 
   std::uint32_t next_seq() {
     PDOS_CHECK_MSG(next_seq_ != 0xffffffffu, "event sequence space exhausted");
@@ -370,8 +338,7 @@ class Scheduler {
   Time now_ = 0.0;
   Time far_horizon_ = 0.0;  // heap holds everything due at or before this
   Time far_window_ = kFarWindow;  // adaptive; see pull_shelf
-  std::uint32_t next_seq_ = kSeqBandBase;
-  std::uint32_t front_seq_ = 0;  // reserved band; see allocate_front_seq
+  std::uint32_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::vector<HeapNode> heap_;
   std::vector<HeapNode> shelf_;  // unsorted; strictly beyond far_horizon_

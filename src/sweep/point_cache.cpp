@@ -71,16 +71,10 @@ void hash_scenario(Fnv1a& h, const ScenarioConfig& c) {
   h.i64(c.fast_path ? 1 : 0);
   h.i64(c.hybrid_foreground).f64(c.hybrid_tick);
   h.f64(c.fluid_dt_pulse).f64(c.fluid_dt_idle);
-  // ScenarioConfig::shards is DELIBERATELY not hashed: the conservative
-  // PDES partition produces bit-identical results at any shard count
-  // (DESIGN.md §13; pinned by tests/pdes and the key-invariance test in
-  // point_cache_test.cpp), so a cache written at one shard/executor count
-  // must replay at any other. Hashing it would fork the cache on a knob
-  // that cannot change a result. The store BACKING (single file vs
-  // sharded campaign directory) and the worker process count are not spec
-  // fields at all: the same keys address both stores, which is what lets K
-  // campaign processes dedup against each other and against past
-  // single-process sweeps.
+  // The store BACKING (single file vs sharded campaign directory) and the
+  // worker process count are not spec fields at all: the same keys address
+  // both stores, which is what lets K campaign processes dedup against
+  // each other and against past single-process sweeps.
 }
 
 void hash_control(Fnv1a& h, const RunControl& ctl) {

@@ -109,8 +109,6 @@ SpecFile parse_spec(const std::string& text) {
       file.spec.backend = *backend;
     } else if (key == "hybrid_foreground") {
       file.spec.hybrid_foreground = parse_int(key, value, line, 1);
-    } else if (key == "shards") {
-      file.spec.shards = parse_int(key, value, line, 1);
     } else if (key == "flows") {
       file.spec.flow_counts.clear();
       for (const std::string& item : split_list(value)) {
@@ -169,6 +167,14 @@ SpecFile load_spec_file(const std::string& path) {
   std::stringstream buffer;
   buffer << in.rdbuf();
   return parse_spec(buffer.str());
+}
+
+std::vector<PointSpec> enumerate_nonempty(const SweepSpec& spec) {
+  std::vector<PointSpec> points = spec.enumerate();
+  PDOS_REQUIRE(!points.empty(),
+               "the spec enumerates no points: no gamma lies in "
+               "(0, min(1, rattack_mbps / bottleneck))");
+  return points;
 }
 
 }  // namespace pdos::sweep

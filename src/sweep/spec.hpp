@@ -10,9 +10,6 @@
 //   backend      = full         # full | fast | fluid | hybrid (tier, see
 //                               # DESIGN.md §12; default full)
 //   hybrid_foreground = 4       # hybrid only: packet-level flows per point
-//   shards       = 1            # PDES shards per point (DESIGN.md §13);
-//                               # results are bit-identical at any K, so
-//                               # cache keys ignore it
 //   flows        = 15,25,35,45
 //   textent_ms   = 50,75,100
 //   rattack_mbps = 25,30,35,40
@@ -30,15 +27,16 @@
 //   store        = campaign.d   # optional sharded campaign store directory
 //                               # (multi-process; overrides `cache`)
 //
-// Unknown keys are an error (they are always typos). Integer keys (shards,
-// flows, replicates, gamma_points, threads, hybrid_foreground, base_seed)
-// take exact base-10 integers: `4.7` or an out-of-range value is an error.
+// Unknown keys are an error (they are always typos). Integer keys (flows,
+// replicates, gamma_points, threads, hybrid_foreground, base_seed) take
+// exact base-10 integers: `4.7` or an out-of-range value is an error.
 // The whole spec is validated at parse time (SweepSpec::validate), so an
-// incompatible combination such as `backend = fluid` with `shards = 4`
-// fails here, naming the field, before anything runs.
+// incompatible combination such as `backend = hybrid` with
+// `queue = droptail` fails here, naming the field, before anything runs.
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "sweep/sweep.hpp"
 
@@ -61,5 +59,10 @@ SpecFile parse_spec(const std::string& text);
 
 /// Read and parse a spec file from disk.
 SpecFile load_spec_file(const std::string& path);
+
+/// `spec.enumerate()`, but a grid of no points is a spec error (every γ
+/// fell outside (0, min(1, C_attack))), not an empty result table: throws
+/// ParameterError. The CLIs call this before running anything.
+std::vector<PointSpec> enumerate_nonempty(const SweepSpec& spec);
 
 }  // namespace pdos::sweep

@@ -71,7 +71,6 @@ ScenarioConfig SweepSpec::make_scenario(const PointSpec& point) const {
   config.queue = queue;
   config.backend = backend;
   config.hybrid_foreground = hybrid_foreground;
-  config.shards = shards;
   config.seed = replicate_seed(base_seed, point.replicate);
   return config;
 }
@@ -90,8 +89,8 @@ void SweepSpec::validate() const {
   }
   PDOS_REQUIRE(control.measure > 0.0, "SweepSpec: measure window must be > 0");
   // Every point of one flow count shares a scenario up to its seed, so one
-  // probe per flow count rejects a combination no point could run (a
-  // backend with shards, hybrid with droptail, ...) before any work starts.
+  // probe per flow count rejects a combination no point could run (hybrid
+  // with droptail, hybrid_foreground >= flows, ...) before any work starts.
   std::sort(flows.begin(), flows.end());
   flows.erase(std::unique(flows.begin(), flows.end()), flows.end());
   for (int n : flows) {

@@ -53,12 +53,6 @@ struct SweepSpec {
   Backend backend = Backend::kFull;
   /// Hybrid tier only: packet-level flows per point (see ScenarioConfig).
   int hybrid_foreground = 4;
-  /// Conservative PDES sharding per point (ScenarioConfig::shards); spec
-  /// files select it with `shards = K`. Results are bit-identical to
-  /// shards = 1 (DESIGN.md §13), so cache keys deliberately EXCLUDE it —
-  /// a cache written at one shard count replays at any other. Workers run
-  /// the shard rounds inline (they are already one-per-core).
-  int shards = 1;
 
   // Cartesian axes (ignored when `explicit_points` is non-empty).
   std::vector<int> flow_counts = {15};

@@ -232,29 +232,6 @@ TEST(PointCacheKeyTest, BackendIsPartOfTheKey) {
   EXPECT_NE(point_key(hybrid, point, 1), point_key(fluid, point, 1));
 }
 
-TEST(PointCacheKeyTest, ShardCountDoesNotChangeTheKey) {
-  // The inverse of BackendIsPartOfTheKey: the conservative PDES partition
-  // is bit-result-invariant (DESIGN.md §13, pinned by tests/pdes), so the
-  // shard count must NOT fork the cache — a campaign swept at shards = 1
-  // must replay all-hit when resumed at shards = 4, and vice versa. The
-  // executor behind the shards never enters the key either (it is not even
-  // a spec field). hash_common in point_cache.cpp documents the deliberate
-  // exclusion; this test keeps it from regressing silently.
-  const SweepSpec spec = quick_spec();
-  PointSpec point;
-  const std::uint64_t base_point = point_key(spec, point, 1);
-  const std::uint64_t base_baseline = baseline_key(spec, point, 1);
-
-  for (int shards : {2, 4, 8}) {
-    SweepSpec sharded = spec;
-    sharded.shards = shards;
-    EXPECT_EQ(point_key(sharded, point, 1), base_point)
-        << "shards=" << shards;
-    EXPECT_EQ(baseline_key(sharded, point, 1), base_baseline)
-        << "shards=" << shards;
-  }
-}
-
 TEST(PointCacheKeyTest, KeysAreStableAcrossCalls) {
   const SweepSpec spec = quick_spec();
   PointSpec point;

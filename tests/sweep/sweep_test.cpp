@@ -333,6 +333,24 @@ TEST(SpecParser, AutoGammaAndDefaults) {
   EXPECT_EQ(file.options.threads, 0);
 }
 
+TEST(SpecParser, GridOfNoPointsIsASpecError) {
+  // Every γ lies above C_attack = 1/15: the spec parses, but no point runs.
+  const SpecFile empty =
+      parse_spec("flows = 15\nrattack_mbps = 1\ngamma = 0.5\n");
+  ASSERT_TRUE(empty.spec.enumerate().empty());
+  try {
+    enumerate_nonempty(empty.spec);
+    ADD_FAILURE() << "a grid of no points was accepted";
+  } catch (const ParameterError& e) {
+    EXPECT_NE(std::string(e.what()).find("enumerates no points"),
+              std::string::npos)
+        << e.what();
+  }
+  const SpecFile runnable = parse_spec("gamma = 0.5\n");
+  EXPECT_EQ(enumerate_nonempty(runnable.spec).size(),
+            runnable.spec.enumerate().size());
+}
+
 TEST(SpecParser, RejectsUnknownKeysAndGarbage) {
   EXPECT_THROW(parse_spec("no_such_key = 1\n"), ParameterError);
   EXPECT_THROW(parse_spec("flows\n"), ParameterError);
@@ -340,8 +358,8 @@ TEST(SpecParser, RejectsUnknownKeysAndGarbage) {
   EXPECT_THROW(parse_spec("scenario = ns3\n"), ParameterError);
   EXPECT_THROW(parse_spec("backend = warp\n"), ParameterError);
   // Integer keys take exact integers: no truncation, no range overflow.
-  for (const char* key : {"shards", "flows", "replicates", "gamma_points",
-                          "threads", "hybrid_foreground", "base_seed"}) {
+  for (const char* key : {"flows", "replicates", "gamma_points", "threads",
+                          "hybrid_foreground", "base_seed"}) {
     SCOPED_TRACE(key);
     const std::string k = key;
     EXPECT_THROW(parse_spec(k + " = 4.7\n"), ParameterError);
@@ -352,23 +370,34 @@ TEST(SpecParser, RejectsUnknownKeysAndGarbage) {
   }
   EXPECT_THROW(parse_spec("replicates = 2147483648\n"), ParameterError);
   EXPECT_THROW(parse_spec("flows = 15, 2.5\n"), ParameterError);
-  EXPECT_THROW(parse_spec("shards = 0\n"), ParameterError);
   EXPECT_THROW(parse_spec("gamma_points = 1\n"), ParameterError);
   // base_seed is read as a uint64, not through a double: 2^53 + 1 survives.
   EXPECT_EQ(parse_spec("base_seed = 9007199254740993\n").spec.base_seed,
             9007199254740993ull);
   EXPECT_EQ(parse_spec("base_seed = 18446744073709551615\n").spec.base_seed,
             18446744073709551615ull);
+  // Retired keys fail as unknown keys, naming the key: a spec that still
+  // sets them must not silently run without them.
+  for (const char* key : {"batch_replicates", "shards"}) {
+    SCOPED_TRACE(key);
+    try {
+      parse_spec(std::string(key) + " = 4\n");
+      ADD_FAILURE() << key << " = 4 parsed";
+    } catch (const ParameterError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown key '" +
+                                           std::string(key) + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   // Combinations no point could run fail at parse time, naming the field.
   try {
-    parse_spec("backend = fluid\nshards = 4\n");
-    ADD_FAILURE() << "fluid with shards = 4 parsed";
+    parse_spec("backend = hybrid\nqueue = droptail\n");
+    ADD_FAILURE() << "hybrid with queue = droptail parsed";
   } catch (const ParameterError& e) {
-    EXPECT_NE(std::string(e.what()).find("shards"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("queue"), std::string::npos)
         << e.what();
   }
-  EXPECT_THROW(parse_spec("backend = hybrid\nqueue = droptail\n"),
-               ParameterError);
   EXPECT_THROW(parse_spec("backend = hybrid\nflows = 4\n"
                           "hybrid_foreground = 4\n"),
                ParameterError);

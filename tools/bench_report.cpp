@@ -1,14 +1,12 @@
-// Engine + data-path + sweep + scale + fluid + pdes + campaign
-// performance report: measures the scheduler and packet data-path
-// micro-benchmarks, scenario setup (fresh vs warm-reset), the LargeScale
-// fast-path scenarios (interleaved fast/full A/B), the fluid-surrogate vs
-// packet A/B on a fig. 6 quick grid point, the sharded-vs-single PDES A/B
-// on a 10 Gbps LargeScale scenario, the 1-worker vs K-worker multi-process
+// Engine + data-path + sweep + scale + fluid + campaign performance
+// report: measures the scheduler and packet data-path micro-benchmarks,
+// scenario setup (fresh vs warm-reset), the LargeScale fast-path scenarios
+// (interleaved fast/full A/B), the fluid-surrogate vs packet A/B on a
+// fig. 6 quick grid point, the 1-worker vs K-worker multi-process
 // campaign A/B over a shared CampaignStore (DESIGN.md §15), and a fixed
 // fig. 6 quick-mode sweep (cold and cache-resumed), and writes
 // BENCH_engine.json, BENCH_datapath.json, BENCH_sweep.json,
-// BENCH_scale.json, BENCH_fluid.json, BENCH_pdes.json, and
-// BENCH_campaign.json.
+// BENCH_scale.json, BENCH_fluid.json, and BENCH_campaign.json.
 //
 // This is the tracked-baseline half of the perf story: google-benchmark
 // (bench/micro_engine, bench/micro_datapath, bench/micro_setup,
@@ -16,8 +14,8 @@
 // interactive work, while this tool emits stable, machine-readable
 // snapshots that CI diffs against the committed bench/baseline_engine.json,
 // bench/baseline_datapath.json, bench/baseline_sweep.json,
-// bench/baseline_scale.json, bench/baseline_fluid.json,
-// bench/baseline_pdes.json, and bench/baseline_campaign.json. The JSON is
+// bench/baseline_scale.json, bench/baseline_fluid.json, and
+// bench/baseline_campaign.json. The JSON is
 // flat `"key": number` pairs so the reader below stays a 30-line scanner
 // instead of a JSON library.
 //
@@ -26,8 +24,7 @@
 //                [--datapath-baseline FILE] [--sweep-out FILE]
 //                [--sweep-baseline FILE] [--scale-out FILE]
 //                [--scale-baseline FILE] [--fluid-out FILE]
-//                [--fluid-baseline FILE] [--pdes-out FILE]
-//                [--pdes-baseline FILE] [--fluid-surface-out FILE]
+//                [--fluid-baseline FILE] [--fluid-surface-out FILE]
 //                [--campaign-out FILE] [--campaign-baseline FILE]
 //                [--check] [--reps N] [--skip-sweep]
 //
@@ -60,16 +57,6 @@
 //                             solve; measured 1.45-1.6x) — SIMD builds
 //                             only; scalar builds skip those two floors
 //                             out loud (DESIGN.md §16)
-//   --pdes-out FILE           PDES sharding output (default BENCH_pdes.json)
-//   --pdes-baseline FILE      committed PDES reference; the sharded run's
-//                             event throughput is gated against it, and
-//                             under --check the shards=4 vs shards=1
-//                             speedup must clear the >= 3x floor
-//                             (DESIGN.md §13) — but ONLY on hosts with
-//                             at least 4 hardware threads. Single-core CI
-//                             runners print a skip line instead: the
-//                             sharded run cannot beat the single scheduler
-//                             without parallel hardware.
 //   --fluid-surface-out FILE  also emit the fluid-tier attack-gain surface
 //                             (γ × T_extent grid, long-format CSV:
 //                             textent_ms,gamma,degradation,gain) to FILE
@@ -120,7 +107,6 @@
 #include "stats/stats_hub.hpp"
 #include "sweep/campaign.hpp"
 #include "sweep/sweep.hpp"
-#include "sweep/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace pdos {
@@ -160,20 +146,10 @@ constexpr double kFluidBatchSpeedupFloor = 1.10;
 constexpr double kFluidBinnedSpeedupFloor = 1.25;
 constexpr int kFluidBatchWidth = 8;
 
-// The PDES sharding contract (DESIGN.md §13): a shards=4 LargeScale run on
-// a ThreadPool executor must beat the same run on one scheduler by at
-// least this much — but only where the hardware can possibly deliver it.
-// Hosts with fewer than kPdesFloorMinThreads hardware threads (single-core
-// CI runners in particular) skip the floor: the measurement still runs and
-// the speedup still rides along in the artifact, it just cannot gate.
-constexpr double kPdesSpeedupFloor = 3.0;
-constexpr unsigned kPdesFloorMinThreads = 4;
-constexpr int kPdesShards = 4;
-
 // The multi-process campaign contract (DESIGN.md §15): a cold
 // kCampaignWorkers-process campaign over a shared CampaignStore must beat
-// the same campaign run by one process by at least this much — but, like
-// the PDES floor, only where the hardware can deliver it. Hosts with fewer
+// the same campaign run by one process by at least this much — but only
+// where the hardware can deliver it. Hosts with fewer
 // than kCampaignFloorMinThreads hardware threads skip the floor out loud;
 // the speedup still rides along in the artifact. The resume half of the
 // contract (all-hit, byte-identical merged CSV) is hardware-independent
@@ -547,61 +523,6 @@ FluidSimdMeasurement measure_fluid_simd(int reps) {
   return m;
 }
 
-// --- PDES sharded-run A/B (mirror tests/pdes, DESIGN.md §13) -------------
-
-/// The intra-run parallelism target scenario: 10k flows on a 10 Gbps
-/// bottleneck, fast path, short horizon. Big enough that per-round shard
-/// work dwarfs the barrier cost, short enough for a CI smoke.
-ScaleSample run_pdes_point(ScenarioWorkspace& ws, int shards) {
-  ScenarioConfig config = ScenarioConfig::large_scale(10000, gbps(10));
-  config.shards = shards;
-  RunControl control;
-  control.warmup = sec(0.25);
-  control.measure = sec(0.5);
-  const auto start = Clock::now();
-  const RunResult result =
-      ws.run(config, large_scale_train(config.bottleneck), control);
-  return ScaleSample{result.events_executed, seconds_since(start)};
-}
-
-struct PdesMeasurement {
-  std::uint64_t single_events = 0;   // shards=1 event count (deterministic)
-  std::uint64_t sharded_events = 0;  // shards=4 event count (deterministic)
-  double single_wall = 0.0;          // best-of-reps
-  double sharded_wall = 0.0;
-  std::uint64_t rounds = 0;    // engine telemetry from the sharded arm
-  std::uint64_t messages = 0;  // cross-shard packets per run
-  int executor_threads = 1;    // 1 = inline executor (no pool)
-};
-
-/// Interleaved A/B: alternate shards=1 and shards=4 samples, each in its
-/// own warm workspace, best-of per arm. The sharded arm runs on a
-/// ThreadPool executor when the host has more than one hardware thread;
-/// on a single-core host it runs the rounds inline — same results (the
-/// outputs are executor-invariant), honest wall time.
-PdesMeasurement measure_pdes(int reps) {
-  PdesMeasurement m;
-  std::unique_ptr<sweep::ThreadPool> pool;
-  if (std::thread::hardware_concurrency() > 1) {
-    pool = std::make_unique<sweep::ThreadPool>();
-    m.executor_threads = pool->size();
-  }
-  ScenarioWorkspace single_ws;
-  ScenarioWorkspace sharded_ws;
-  if (pool) sharded_ws.set_shard_executor(sweep::pool_shard_executor(*pool));
-  m.single_events = run_pdes_point(single_ws, 1).events;            // warm
-  m.sharded_events = run_pdes_point(sharded_ws, kPdesShards).events;  // warm
-  m.rounds = sharded_ws.pdes_rounds();
-  m.messages = sharded_ws.pdes_messages();
-  m.single_wall = m.sharded_wall = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < reps; ++r) {
-    m.single_wall = std::min(m.single_wall, run_pdes_point(single_ws, 1).wall);
-    m.sharded_wall =
-        std::min(m.sharded_wall, run_pdes_point(sharded_ws, kPdesShards).wall);
-  }
-  return m;
-}
-
 // --- multi-process campaign A/B (mirror tests/sweep, DESIGN.md §15) ------
 
 /// The campaign target grid: one fast-backend fig. 6 slice with enough
@@ -893,8 +814,6 @@ int main(int argc, char** argv) {
   std::string scale_baseline_path;
   std::string fluid_out_path = "BENCH_fluid.json";
   std::string fluid_baseline_path;
-  std::string pdes_out_path = "BENCH_pdes.json";
-  std::string pdes_baseline_path;
   std::string campaign_out_path = "BENCH_campaign.json";
   std::string campaign_baseline_path;
   std::string fluid_surface_path;
@@ -923,10 +842,6 @@ int main(int argc, char** argv) {
       fluid_out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--fluid-baseline") == 0 && i + 1 < argc) {
       fluid_baseline_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--pdes-out") == 0 && i + 1 < argc) {
-      pdes_out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--pdes-baseline") == 0 && i + 1 < argc) {
-      pdes_baseline_path = argv[++i];
     } else if (std::strcmp(argv[i], "--campaign-out") == 0 && i + 1 < argc) {
       campaign_out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--campaign-baseline") == 0 &&
@@ -948,7 +863,6 @@ int main(int argc, char** argv) {
                    "[--sweep-out FILE] [--sweep-baseline FILE] "
                    "[--scale-out FILE] [--scale-baseline FILE] "
                    "[--fluid-out FILE] [--fluid-baseline FILE] "
-                   "[--pdes-out FILE] [--pdes-baseline FILE] "
                    "[--campaign-out FILE] [--campaign-baseline FILE] "
                    "[--fluid-surface-out FILE] "
                    "[--check] [--reps N] [--skip-sweep]\n");
@@ -957,8 +871,7 @@ int main(int argc, char** argv) {
   }
   if (check && baseline_path.empty() && datapath_baseline_path.empty() &&
       sweep_baseline_path.empty() && scale_baseline_path.empty() &&
-      fluid_baseline_path.empty() && pdes_baseline_path.empty() &&
-      campaign_baseline_path.empty()) {
+      fluid_baseline_path.empty() && campaign_baseline_path.empty()) {
     std::fprintf(stderr, "bench_report: --check requires a baseline\n");
     return 2;
   }
@@ -1064,26 +977,11 @@ int main(int argc, char** argv) {
           ? fluid_simd.ref_binned_wall / fluid_simd.vec_binned_wall
           : 0.0;
 
-  // PDES family: the same 10 Gbps / 10k-flow scenario on one scheduler and
-  // on four shards (interleaved A/B). The gated metric is the sharded arm's
-  // event throughput; the walls, event counts, engine telemetry, and the
-  // speedup ride along. The >= 3x floor gates only on >= 4-thread hosts.
-  const PdesMeasurement pdes = measure_pdes(std::max(2, reps / 2));
-  const double pdes_speedup =
-      pdes.sharded_wall > 0.0 ? pdes.single_wall / pdes.sharded_wall : 0.0;
-  std::vector<Micro> pdes_micros = {
-      {"pdes_shard4_10000f_10g_events_per_sec",
-       static_cast<double>(pdes.sharded_events)},
-  };
-  pdes_micros[0].rate =
-      static_cast<double>(pdes.sharded_events) / pdes.sharded_wall;
-
   // Campaign family: cold 1-worker vs cold kCampaignWorkers-worker campaign
   // over a shared CampaignStore, plus an all-hit resume. The gated metric
   // is the multi-worker cold campaign's task throughput; the walls, the
   // speedup, and the resume pair ride along. run_campaign forks, which is
-  // safe here: every ThreadPool the measurements above created has been
-  // joined and destroyed by now.
+  // safe here: no measurement above leaves a thread pool alive.
   const CampaignMeasurement campaign = measure_campaign(campaign_out_path);
   const double campaign_speedup =
       campaign.multi_wall > 0.0 ? campaign.single_wall / campaign.multi_wall
@@ -1153,37 +1051,6 @@ int main(int argc, char** argv) {
       Entry{"fluid_binned_speedup_vs_ref", fluid_binned_speedup});
   fluid_entries.push_back(
       Entry{"fluid_binned_speedup_floor", kFluidBinnedSpeedupFloor});
-  std::vector<Entry> pdes_entries;
-  for (const Micro& m : pdes_micros) {
-    std::printf("%-36s %12.0f events/s\n", m.key, m.rate);
-    pdes_entries.push_back(Entry{m.key, m.rate});
-  }
-  std::printf("pdes_10000f_10g: shards=1 %.3f s (%llu events), shards=%d "
-              "%.3f s (%llu events, %llu rounds, %llu messages, %d-thread "
-              "executor), speedup %.2fx (floor %.0fx on >= %u threads)\n",
-              pdes.single_wall,
-              static_cast<unsigned long long>(pdes.single_events), kPdesShards,
-              pdes.sharded_wall,
-              static_cast<unsigned long long>(pdes.sharded_events),
-              static_cast<unsigned long long>(pdes.rounds),
-              static_cast<unsigned long long>(pdes.messages),
-              pdes.executor_threads, pdes_speedup, kPdesSpeedupFloor,
-              kPdesFloorMinThreads);
-  pdes_entries.push_back(Entry{"pdes_shard1_wall_seconds", pdes.single_wall});
-  pdes_entries.push_back(
-      Entry{"pdes_shard4_wall_seconds", pdes.sharded_wall});
-  pdes_entries.push_back(Entry{"pdes_shard1_events",
-                               static_cast<double>(pdes.single_events)});
-  pdes_entries.push_back(Entry{"pdes_shard4_events",
-                               static_cast<double>(pdes.sharded_events)});
-  pdes_entries.push_back(
-      Entry{"pdes_rounds", static_cast<double>(pdes.rounds)});
-  pdes_entries.push_back(
-      Entry{"pdes_messages", static_cast<double>(pdes.messages)});
-  pdes_entries.push_back(Entry{"pdes_executor_threads",
-                               static_cast<double>(pdes.executor_threads)});
-  pdes_entries.push_back(Entry{"pdes_speedup_vs_shard1", pdes_speedup});
-  pdes_entries.push_back(Entry{"pdes_speedup_floor", kPdesSpeedupFloor});
   std::vector<Entry> campaign_entries;
   for (const Micro& m : campaign_micros) {
     std::printf("%-36s %12.2f tasks/s\n", m.key, m.rate);
@@ -1302,18 +1169,14 @@ int main(int argc, char** argv) {
     regressions += apply_baseline(fluid_baseline_path, fluid_micros, check,
                                   fluid_entries);
   }
-  if (!pdes_baseline_path.empty()) {
-    regressions += apply_baseline(pdes_baseline_path, pdes_micros, check,
-                                  pdes_entries);
-  }
   if (!campaign_baseline_path.empty()) {
     regressions += apply_baseline(campaign_baseline_path, campaign_micros,
                                   check, campaign_entries);
   }
   if (check) {
-    // The campaign contract (DESIGN.md §15). The speedup half mirrors the
-    // PDES floor: same-machine ratio, gated directly, skipped out loud on
-    // hosts that cannot run 4 workers in parallel. The resume half —
+    // The campaign contract (DESIGN.md §15). The speedup half is a
+    // same-machine ratio, gated directly, skipped out loud on hosts that
+    // cannot run 4 workers in parallel. The resume half —
     // all-hit, byte-identical merged CSV, no failures — is pure protocol
     // correctness and gates everywhere.
     const unsigned threads = std::thread::hardware_concurrency();
@@ -1336,24 +1199,6 @@ int main(int argc, char** argv) {
                    "resume simulated %zu, csv %s)\n",
                    campaign.ok ? 1 : 0, campaign.resume_simulated,
                    campaign.csv_identical ? "identical" : "diverged");
-      ++regressions;
-    }
-  }
-  if (check) {
-    // Satellite gate (DESIGN.md §13): the sharded run must actually be
-    // parallel where the hardware allows it. A same-machine ratio like the
-    // fluid floor, so it gates directly rather than via the baseline — and
-    // a single-core runner (hardware_concurrency < kPdesFloorMinThreads)
-    // skips it out loud instead of failing on physics.
-    const unsigned threads = std::thread::hardware_concurrency();
-    if (threads < kPdesFloorMinThreads) {
-      std::printf("pdes speedup floor skipped: %u hardware thread(s) < %u\n",
-                  threads, kPdesFloorMinThreads);
-    } else if (pdes_speedup < kPdesSpeedupFloor) {
-      std::fprintf(stderr,
-                   "REGRESSION: shards=%d run is only %.2fx faster than "
-                   "shards=1 (floor: %.0fx on %u threads)\n",
-                   kPdesShards, pdes_speedup, kPdesSpeedupFloor, threads);
       ++regressions;
     }
   }
@@ -1404,8 +1249,6 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", scale_out_path.c_str());
   write_json(fluid_out_path, "pdos-bench-fluid-v1", fluid_entries);
   std::printf("wrote %s\n", fluid_out_path.c_str());
-  write_json(pdes_out_path, "pdos-bench-pdes-v1", pdes_entries);
-  std::printf("wrote %s\n", pdes_out_path.c_str());
   write_json(campaign_out_path, "pdos-bench-campaign-v1", campaign_entries);
   std::printf("wrote %s\n", campaign_out_path.c_str());
   if (!fluid_surface_path.empty()) {

@@ -30,7 +30,8 @@
 //   --compact            compact the store segments after the run
 //
 // Exit status: 0 on success; 1 when any point failed, a worker crashed, or
-// an --assert-no-dup check tripped.
+// an --assert-no-dup check tripped; 2 on a usage or spec error (including a
+// spec whose grid enumerates no points).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -101,6 +102,7 @@ int main(int argc, char** argv) {
     sweep::SpecFile file;
     try {
       file = sweep::load_spec_file(path);
+      sweep::enumerate_nonempty(file.spec);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "pdos_campaign: %s\n", e.what());
       return 2;

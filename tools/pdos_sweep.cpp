@@ -28,6 +28,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <vector>
 
 #include "sweep/campaign_store.hpp"
 #include "sweep/spec.hpp"
@@ -52,8 +53,10 @@ int main(int argc, char** argv) {
   if (argc < 2 || argv[1][0] == '-') return usage();
 
   sweep::SpecFile file;
+  std::vector<sweep::PointSpec> points;
   try {
     file = sweep::load_spec_file(argv[1]);
+    points = sweep::enumerate_nonempty(file.spec);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "pdos_sweep: %s\n", e.what());
     return 2;
@@ -98,15 +101,6 @@ int main(int argc, char** argv) {
     file.options.store = store.get();
   }
 
-  const auto points = file.spec.enumerate();
-  if (points.empty()) {
-    // Every γ fell outside (0, min(1, C_attack)): a usage error, not an
-    // empty result table.
-    std::fprintf(stderr,
-                 "pdos_sweep: the spec enumerates no points: no gamma lies "
-                 "in (0, min(1, rattack_mbps / bottleneck))\n");
-    return 2;
-  }
   if (progress_json) {
     // One JSON object per finished task, machine-readable on stderr (the
     // CSV table owns stdout). Orchestrators and CI logs consume this.
