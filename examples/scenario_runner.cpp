@@ -14,7 +14,8 @@
 // predicted degradation, queue drop counters and TCP state statistics for
 // a single run. The second hands a key=value campaign spec (see
 // src/sweep/spec.hpp) to the parallel sweep engine and prints its CSV
-// table to stdout (or the spec's `csv =` path).
+// table to stdout (or the spec's `csv =` path), keeping results in the
+// spec's `store =` directory when it names one.
 //
 // Exit status: 0 on success, 1 when a sweep point failed, 2 on a usage or
 // configuration error — an unknown flag, a value that does not parse, or a
@@ -25,11 +26,13 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <type_traits>
 
 #include "pdos/pdos.hpp"
+#include "sweep/campaign_store.hpp"
 
 using namespace pdos;
 
@@ -109,6 +112,10 @@ int run_sweep_mode(const std::string& spec_path, const Args& args) {
   sweep::enumerate_nonempty(file.spec);
   const int threads = args.number("--threads", 0);
   if (threads > 0) file.options.threads = threads;
+  std::optional<sweep::CampaignStore> store;
+  if (!file.store_dir.empty()) {
+    file.options.store = &store.emplace(file.store_dir);
+  }
   file.options.on_progress = [](const sweep::SweepProgress& progress) {
     std::fprintf(stderr, "\r%zu/%zu done, eta %.1fs  ", progress.done,
                  progress.total, progress.eta_seconds);

@@ -95,7 +95,7 @@ ScenarioConfig ScenarioConfig::large_scale(int num_flows,
   config.tcp = TcpSenderConfig{};
   config.tcp.aimd = AimdParams::new_reno();
   config.tcp.rto_min = sec(1.0);
-  config.fast_path = true;
+  config.backend = Backend::kFast;
   return config;
 }
 
@@ -304,7 +304,7 @@ void ScenarioWorkspace::build(const ScenarioConfig& config,
   const NodeId router_s_id = 2 * m;
   const NodeId router_r_id = 2 * m + 1;
   const NodeId attacker_id = 2 * m + 2;
-  const bool fast = config.fast_path || config.backend == Backend::kFast;
+  const bool fast = config.backend == Backend::kFast;
   Simulator& sim = sim_;
 
   router_s_ = sim.make<Node>(router_s_id, "routerS", sim.memory());
@@ -325,8 +325,8 @@ void ScenarioWorkspace::build(const ScenarioConfig& config,
   // Fast path: the reverse direction carries only 40-byte ACKs paced by the
   // forward bottleneck — it can never congest, so it gets the queue-less
   // express lane (one sequenced delivery event per link, no service
-  // events). Scenarios that queue or tap the reverse path keep fast_path
-  // off and get the full link.
+  // events). Scenarios that queue or tap the reverse path stay off the fast
+  // backend and get the full link.
   Link* bottleneck_rev =
       fast ? sim.make<Link>(sim, "bottleneck.rev", config.bottleneck,
                             config.bottleneck_delay,

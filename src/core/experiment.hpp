@@ -45,9 +45,15 @@ enum class QueueKind { kDropTail, kRed };
 /// in README.md):
 ///   kFull   — the packet engine's default event path (golden-digest
 ///             pinned; the paper figures run here).
-///   kFast   — the same packet engine with the express ACK lane and event
-///             fusion (DESIGN.md §11); bit-identical packet timings,
-///             different event counts. Equivalent to fast_path = true.
+///   kFast   — the same packet engine with large-scale event plumbing
+///             (DESIGN.md §11): reverse-path links become queue-less
+///             express ACK lanes and forward links fuse idle serves into
+///             zero service events. Packet-level behaviour (timings, drops,
+///             RNG draws) is unchanged, but the event count and tie-break
+///             rank stream are not — and the golden figure digests pin
+///             event counts — so the paper scenarios stay on kFull. A
+///             scenario that installs reverse-path queues or taps must not
+///             use it.
 ///   kFluid  — no packets at all: the fluid AIMD solver (src/fluid)
 ///             integrates per-class window ODEs and RED occupancy,
 ///             microseconds per run.
@@ -85,17 +91,9 @@ struct ScenarioConfig {
   /// 0 disables it (the paper's scenarios).
   BitRate cross_traffic_rate = 0.0;
   std::uint64_t seed = 1;
-  /// Large-scale event plumbing (DESIGN.md §11): reverse-path links become
-  /// queue-less express ACK lanes and forward links fuse idle serves into
-  /// zero service events. Packet-level behaviour (timings, drops, RNG
-  /// draws) is unchanged, but the scheduler's event count and tie-break
-  /// rank stream are not — and the golden figure digests pin event counts —
-  /// so this is opt-in and the paper scenarios leave it off. A scenario
-  /// that installs reverse-path queues or taps must also leave it off.
-  bool fast_path = false;
   /// Which simulation tier runs the scenario (see Backend above). kFull
-  /// keeps every default-path digest byte-identical; kFast implies
-  /// fast_path; kFluid and kHybrid trade packet-level fidelity for speed.
+  /// keeps every default-path digest byte-identical; kFluid and kHybrid
+  /// trade packet-level fidelity for speed.
   Backend backend = Backend::kFull;
   /// Hybrid tier: how many flows (spread evenly across the RTT list) stay
   /// packet-level. The other num_flows - hybrid_foreground flows form the
@@ -120,8 +118,8 @@ struct ScenarioConfig {
   /// Beyond-the-paper scaling family (DESIGN.md §11): the ns-2 dumbbell
   /// stretched to `num_flows` victims on a `bottleneck` of up to 1 Gbps,
   /// with the buffer scaled in proportion to the rate (240 packets at
-  /// 15 Mbps) so the queueing dynamics stay comparable. Enables
-  /// `fast_path`: the express ACK lane and event fusion, which leave
+  /// 15 Mbps) so the queueing dynamics stay comparable. Runs on
+  /// Backend::kFast: the express ACK lane and event fusion, which leave
   /// packet-level behaviour untouched.
   static ScenarioConfig large_scale(int num_flows,
                                     BitRate bottleneck = gbps(1));

@@ -12,30 +12,11 @@
 #include <unordered_set>
 
 #include "sweep/campaign_store.hpp"
-#include "sweep/point_cache.hpp"
 #include "util/assert.hpp"
 
 namespace pdos::sweep {
 
 namespace {
-
-void fill_from_cache(PointResult& slot, const CachedPoint& hit) {
-  slot.c_psi = hit.c_psi;
-  slot.analytic_degradation = hit.analytic_degradation;
-  slot.analytic_gain = hit.analytic_gain;
-  slot.shrew = hit.shrew;
-  slot.baseline_goodput = hit.baseline_goodput;
-  slot.goodput = hit.goodput;
-  slot.measured_degradation = hit.measured_degradation;
-  slot.measured_gain = hit.measured_gain;
-  slot.utilization = hit.utilization;
-  slot.fairness = hit.fairness;
-  slot.timeouts = hit.timeouts;
-  slot.fast_recoveries = hit.fast_recoveries;
-  slot.attack_packets = hit.attack_packets;
-  slot.events = hit.events;
-  slot.status = PointStatus::kOk;
-}
 
 /// Insert every task key of `spec` (points + deduped baselines) into `keys`.
 void collect_task_keys(const SweepSpec& spec,
@@ -140,7 +121,7 @@ SweepResult replay_from_store(const SweepSpec& spec, const PointStore& store) {
     slot.seed = replicate_seed(spec.base_seed, points[i].replicate);
     CachedPoint hit;
     if (store.lookup_point(point_key(spec, slot.point, slot.seed), hit)) {
-      fill_from_cache(slot, hit);
+      fill_cached_point(slot, hit);
       ++result.cache_hits;
     }
   }

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "sweep/campaign_store.hpp"
 #include "sweep/sweep.hpp"
 
 namespace pdos::sweep {
@@ -54,7 +55,7 @@ struct CampaignProgress {
 
 struct CampaignOptions {
   /// CampaignStore directory shared by all workers (created if missing).
-  std::string store_dir = ".pdos-cache/campaign";
+  std::string store_dir = kDefaultStoreDir;
   int workers = 2;
   /// Threads per worker (<= 0: ThreadPool::default_threads() in each).
   int threads = 0;

@@ -35,6 +35,49 @@ std::uint64_t make_owner_token() {
   return (static_cast<std::uint64_t>(::getpid()) << 32) ^ (salt & 0xffffffff);
 }
 
+// Result records: one line each, %.17g doubles for bit-exact reload (so a
+// replayed CSV is byte-identical to a fresh run). The returned lines include
+// the trailing newline; the parsers take the text after the "P " / "B " tag
+// and return false on a malformed (e.g. torn) line.
+std::string format_point_record(std::uint64_t key, const CachedPoint& v) {
+  char buf[640];
+  std::snprintf(
+      buf, sizeof(buf),
+      "P %016" PRIx64
+      " %.17g %.17g %.17g %d %.17g %.17g %.17g %.17g %.17g %.17g %" PRIu64
+      " %" PRIu64 " %" PRIu64 " %" PRIu64 "\n",
+      key, v.c_psi, v.analytic_degradation, v.analytic_gain, v.shrew ? 1 : 0,
+      v.baseline_goodput, v.goodput, v.measured_degradation, v.measured_gain,
+      v.utilization, v.fairness, v.timeouts, v.fast_recoveries,
+      v.attack_packets, v.events);
+  return buf;
+}
+
+std::string format_baseline_record(std::uint64_t key, double goodput) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "B %016" PRIx64 " %.17g\n", key, goodput);
+  return buf;
+}
+
+bool parse_point_record(const char* text, std::uint64_t& key, CachedPoint& v) {
+  int shrew = 0;
+  const int n = std::sscanf(
+      text,
+      "%" SCNx64 " %lg %lg %lg %d %lg %lg %lg %lg %lg %lg %" SCNu64
+      " %" SCNu64 " %" SCNu64 " %" SCNu64,
+      &key, &v.c_psi, &v.analytic_degradation, &v.analytic_gain, &shrew,
+      &v.baseline_goodput, &v.goodput, &v.measured_degradation,
+      &v.measured_gain, &v.utilization, &v.fairness, &v.timeouts,
+      &v.fast_recoveries, &v.attack_packets, &v.events);
+  v.shrew = shrew != 0;
+  return n == 15;
+}
+
+bool parse_baseline_record(const char* text, std::uint64_t& key,
+                           double& goodput) {
+  return std::sscanf(text, "%" SCNx64 " %lg", &key, &goodput) == 2;
+}
+
 std::string format_lease(std::uint64_t key, std::uint64_t owner,
                          double expiry) {
   char buf[96];
@@ -180,7 +223,7 @@ void CampaignStore::scan_segment(Segment& seg) {
       if (len != sizeof(kSegHeader) - 1 ||
           std::memcmp(line, kSegHeader, len) != 0) {
         // Foreign or pre-v1 segment: load nothing from it and truncate it
-        // on the first append (mirrors PointCache's rewrite semantics).
+        // on the first append.
         seg.rewrite = true;
         return;
       }

@@ -1,23 +1,25 @@
-// Sharded multi-process result store: the campaign coordination substrate.
+// Sharded multi-process result store: the one file-backed `PointStore`.
 //
-// `PointCache` is one append-only file owned by one process. A campaign is
-// K cooperating processes (possibly serving many submitted specs) sweeping
-// one shared grid, so the store must let them (a) dedup results — a point
-// simulated by any worker is a cache hit for every other worker and for
-// every later campaign — and (b) partition cold work without a central
-// dispatcher. `CampaignStore` does both with files only: no daemon, no
-// shared memory, no sockets, so workers can be independent OS processes
-// (or, later, NFS peers).
+// Every persisted sweep result lives here: `pdos_sweep --resume` (the
+// default directory .pdos-cache/campaign), `pdos_sweep --campaign DIR`,
+// the spec key `store =`, and `pdos_campaign`. A campaign is K cooperating
+// processes (possibly serving many submitted specs) sweeping one shared
+// grid, so the store must let them (a) dedup results — a point simulated by
+// any worker is a hit for every other worker, for every later campaign and
+// for every later --resume sweep — and (b) partition cold work without a
+// central dispatcher. `CampaignStore` does both with files only: no daemon,
+// no shared memory, no sockets, so workers can be independent OS processes
+// (or, later, NFS peers). A single process is simply a campaign of one.
 //
 // Layout: a directory of 16 append-only segment files, `seg-0` … `seg-f`,
 // keyed by the top 4 bits of the 64-bit content hash. Sharding bounds
 // lock contention (two workers only collide when their keys share a
 // prefix) and keeps each file small enough that compaction and re-scans
-// stay cheap. Each segment is line-oriented with the same P/B record
-// format (and the same %.17g bit-exact doubles) as the single-file cache,
-// plus two coordination record kinds:
+// stay cheap. Each segment is a header line, then one record per line:
+// two result kinds (doubles as %.17g, so they reload bit-exactly) and two
+// coordination kinds:
 //
-//   P <key> <outputs…>          completed point        (point_cache.hpp)
+//   P <key> <outputs…>          completed point (CachedPoint, 14 fields)
 //   B <key> <goodput>           completed baseline
 //   L <key> <owner> <expiry>    lease: <owner> is simulating <key> and
 //                               promises a result (or a release) before
@@ -34,9 +36,11 @@
 // recovery needs no fsck pass.
 //
 // Torn-tail tolerance: a worker killed mid-write leaves a partial final
-// line. Loaders skip lines that fail to parse, and every appender checks
-// (under the lock) whether the segment ends in '\n' and prepends one if
-// not, so a torn tail corrupts at most itself — never the next record.
+// line. Loaders skip lines that fail to parse and unknown record kinds, a
+// segment with a foreign header loads as empty and is truncated on its
+// first append, and every appender checks (under the lock) whether the
+// segment ends in '\n' and prepends one if not, so a torn tail corrupts at
+// most itself — never the next record.
 //
 // An in-memory index (maps keyed by the content hash) answers lookups
 // without I/O; `refresh()` incrementally folds in segment bytes appended
@@ -56,6 +60,9 @@
 #include "sweep/point_cache.hpp"
 
 namespace pdos::sweep {
+
+/// Where `pdos_sweep --resume` and `pdos_campaign` keep results by default.
+inline constexpr char kDefaultStoreDir[] = ".pdos-cache/campaign";
 
 class CampaignStore : public PointStore {
  public:

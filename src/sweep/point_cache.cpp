@@ -1,15 +1,6 @@
 #include "sweep/point_cache.hpp"
 
-#include <fcntl.h>
-#include <sys/file.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <cinttypes>
-#include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 
 namespace pdos::sweep {
 
@@ -68,13 +59,14 @@ void hash_scenario(Fnv1a& h, const ScenarioConfig& c) {
   // "result" means, so full/fast/fluid/hybrid points must never alias in a
   // --resume replay.
   h.i64(static_cast<std::int64_t>(c.backend));
-  h.i64(c.fast_path ? 1 : 0);
+  // Retired slot of the old fast_path flag (Backend::kFast replaced it).
+  // Every sweep config hashed 0 here, so schema-3 keys stay unchanged.
+  h.i64(0);
   h.i64(c.hybrid_foreground).f64(c.hybrid_tick);
   h.f64(c.fluid_dt_pulse).f64(c.fluid_dt_idle);
-  // The store BACKING (single file vs sharded campaign directory) and the
-  // worker process count are not spec fields at all: the same keys address
-  // both stores, which is what lets K campaign processes dedup against
-  // each other and against past single-process sweeps.
+  // The worker process count is not a spec field at all: the same keys
+  // address the store from every process, which is what lets K campaign
+  // processes dedup against each other and against past --resume sweeps.
 }
 
 void hash_control(Fnv1a& h, const RunControl& ctl) {
@@ -129,154 +121,6 @@ std::uint64_t baseline_key(const SweepSpec& spec, const PointSpec& probe,
   // freely across the points this baseline normalizes.
   h.i64(probe.flows).i64(probe.replicate);
   return h.value();
-}
-
-std::string format_point_record(std::uint64_t key, const CachedPoint& v) {
-  char buf[640];
-  std::snprintf(
-      buf, sizeof(buf),
-      "P %016" PRIx64
-      " %.17g %.17g %.17g %d %.17g %.17g %.17g %.17g %.17g %.17g %" PRIu64
-      " %" PRIu64 " %" PRIu64 " %" PRIu64 "\n",
-      key, v.c_psi, v.analytic_degradation, v.analytic_gain, v.shrew ? 1 : 0,
-      v.baseline_goodput, v.goodput, v.measured_degradation, v.measured_gain,
-      v.utilization, v.fairness, v.timeouts, v.fast_recoveries,
-      v.attack_packets, v.events);
-  return buf;
-}
-
-std::string format_baseline_record(std::uint64_t key, double goodput) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "B %016" PRIx64 " %.17g\n", key, goodput);
-  return buf;
-}
-
-bool parse_point_record(const char* text, std::uint64_t& key, CachedPoint& v) {
-  int shrew = 0;
-  const int n = std::sscanf(
-      text,
-      "%" SCNx64 " %lg %lg %lg %d %lg %lg %lg %lg %lg %lg %" SCNu64
-      " %" SCNu64 " %" SCNu64 " %" SCNu64,
-      &key, &v.c_psi, &v.analytic_degradation, &v.analytic_gain, &shrew,
-      &v.baseline_goodput, &v.goodput, &v.measured_degradation,
-      &v.measured_gain, &v.utilization, &v.fairness, &v.timeouts,
-      &v.fast_recoveries, &v.attack_packets, &v.events);
-  v.shrew = shrew != 0;
-  return n == 15;
-}
-
-bool parse_baseline_record(const char* text, std::uint64_t& key,
-                           double& goodput) {
-  return std::sscanf(text, "%" SCNx64 " %lg", &key, &goodput) == 2;
-}
-
-namespace {
-
-constexpr char kHeader[] = "pdos-point-cache-v1";
-
-}  // namespace
-
-PointCache::PointCache(std::string path) : path_(std::move(path)) {
-  std::ifstream in(path_);
-  if (!in) return;  // no cache yet: start empty
-  std::string line;
-  if (!std::getline(in, line) || line != kHeader) {
-    // Foreign or pre-v1 file: ignore it and rewrite from scratch on the
-    // first append (appending records after a bad header would make them
-    // invisible to the next load).
-    rewrite_ = true;
-    return;
-  }
-  while (std::getline(in, line)) {
-    if (line.size() < 2 || line[1] != ' ') continue;
-    std::uint64_t key = 0;
-    if (line[0] == 'P') {
-      CachedPoint value;
-      if (parse_point_record(line.c_str() + 2, key, value)) {
-        points_[key] = value;
-      }
-    } else if (line[0] == 'B') {
-      double goodput = 0.0;
-      if (parse_baseline_record(line.c_str() + 2, key, goodput)) {
-        baselines_[key] = goodput;
-      }
-    }
-    // Unknown record kinds and malformed lines are skipped, not fatal.
-  }
-}
-
-PointCache::~PointCache() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-bool PointCache::lookup_point(std::uint64_t key, CachedPoint& out) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = points_.find(key);
-  if (it == points_.end()) return false;
-  out = it->second;
-  return true;
-}
-
-bool PointCache::lookup_baseline(std::uint64_t key, double& goodput) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = baselines_.find(key);
-  if (it == baselines_.end()) return false;
-  goodput = it->second;
-  return true;
-}
-
-void PointCache::store_point(std::uint64_t key, const CachedPoint& value) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!points_.emplace(key, value).second) return;  // already recorded
-  append(format_point_record(key, value));
-}
-
-void PointCache::store_baseline(std::uint64_t key, double goodput) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!baselines_.emplace(key, goodput).second) return;
-  append(format_baseline_record(key, goodput));
-}
-
-std::size_t PointCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return points_.size() + baselines_.size();
-}
-
-void PointCache::append(const std::string& line) {
-  if (fd_ < 0) {
-    const std::filesystem::path parent =
-        std::filesystem::path(path_).parent_path();
-    if (!parent.empty()) {
-      std::error_code ec;
-      std::filesystem::create_directories(parent, ec);  // best effort
-    }
-    int flags = O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC;
-    if (rewrite_) flags |= O_TRUNC;  // foreign header: start over
-    fd_ = ::open(path_.c_str(), flags, 0644);
-    if (fd_ < 0) return;  // unwritable cache degrades to in-memory only
-    rewrite_ = false;
-  }
-  // Advisory lock so a concurrent process appending to the same file
-  // cannot interleave with this record (or with the header we may need to
-  // write first). O_APPEND makes each write(2) land atomically at the
-  // current end even without the lock; the lock closes the header race and
-  // keeps the header-check + write pair atomic.
-  ::flock(fd_, LOCK_EX);
-  struct stat st;
-  std::string out;
-  if (::fstat(fd_, &st) == 0 && st.st_size == 0) {
-    out = std::string(kHeader) + "\n";
-  }
-  out += line;
-  const char* data = out.data();
-  std::size_t left = out.size();
-  while (left > 0) {
-    const ssize_t n = ::write(fd_, data, left);
-    if (n <= 0) break;  // disk full etc.: degrade, records stay in memory
-    data += n;
-    left -= static_cast<std::size_t>(n);
-  }
-  ::flock(fd_, LOCK_UN);
 }
 
 }  // namespace pdos::sweep

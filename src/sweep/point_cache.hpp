@@ -1,41 +1,27 @@
-// Persistent content-addressed cache of completed sweep points.
+// Content-addressed keys and the result-store interface for sweep points.
 //
 // A sweep point is a pure function of (scenario config, attack axes, seed):
-// re-running a campaign recomputes work whose inputs have not changed. The
-// cache keys every completed point (and every baseline run) by an FNV-1a
-// digest of the canonicalized inputs plus a schema/compiler fingerprint,
-// and stores the measured outputs. `run_sweep` consults it before
-// dispatching a point and appends after completing one, so an interrupted
-// or repeated campaign replays as cache hits (`pdos_sweep --resume`).
-//
-// Storage is a line-oriented append-only text file: one header line, then
-// one record per entry. Doubles are written with %.17g so the reloaded
-// value is bit-exact and cached CSV output stays byte-identical to a fresh
-// run. Robustness over cleverness: a missing, truncated, or corrupt file —
-// including one from an older schema — loads as empty and is rewritten by
-// subsequent appends; malformed lines (e.g. a torn tail write) are skipped.
+// re-running a campaign recomputes work whose inputs have not changed. Every
+// completed point (and every baseline run) is keyed by an FNV-1a digest of
+// the canonicalized inputs plus a schema/compiler fingerprint, and its
+// measured outputs are kept in a `PointStore`. `run_sweep` consults the
+// store before dispatching a point and stores after completing one, so an
+// interrupted or repeated campaign replays as hits (`pdos_sweep --resume`).
 //
 // The key covers every *parameter* that shapes the simulation, plus the
 // compiler version. It cannot see code changes that alter simulation
 // semantics at equal parameters — bump kPointCacheSchema when making one,
-// or delete the cache file.
+// or delete the store directory.
 //
-// Two result stores implement the `PointStore` interface the sweep engine
-// programs against:
-//   - `PointCache` (here): one append-only file, the single-process
-//     `--resume` path. Appends go through an O_APPEND fd under an advisory
-//     flock, so even two processes accidentally pointed at the same file
-//     cannot interleave a record.
-//   - `CampaignStore` (sweep/campaign_store.hpp): a directory of hash-
-//     sharded segment files with the same record format plus lease records
-//     for multi-process work claiming — the coordination substrate for
-//     `pdos_campaign`.
+// The one file-backed store is `CampaignStore` (sweep/campaign_store.hpp):
+// a directory of hash-sharded, flock'd, append-only segment files with
+// lease records for multi-process work claiming. `pdos_sweep --resume`,
+// `pdos_sweep --campaign DIR`, `store =` and `pdos_campaign` all address
+// it with the same keys, so a resumed sweep and a campaign share results.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <mutex>
-#include <string>
-#include <unordered_map>
 
 #include "sweep/sweep.hpp"
 
@@ -43,9 +29,9 @@ namespace pdos::sweep {
 
 /// Bump on any change to the record layout OR to simulation semantics that
 /// changes outputs at identical parameters.
-/// Schema 2: the key covers the simulation tier (ScenarioConfig::backend,
-/// fast_path, and the hybrid/fluid tuning knobs), so points computed on
-/// different backends never alias.
+/// Schema 2: the key covers the simulation tier (ScenarioConfig::backend
+/// and the hybrid/fluid tuning knobs), so points computed on different
+/// backends never alias.
 /// Schema 3: the vectorized fluid tier (DESIGN.md §16) moved the solver's
 /// cross-class reductions onto a fixed-shape block tree — every fluid and
 /// hybrid result shifts at ULP level at identical parameters, so schema-2
@@ -90,20 +76,13 @@ std::uint64_t scenario_digest(const char* tag, const ScenarioConfig& config,
                               const RunControl& control, const double* extra,
                               std::size_t n_extra);
 
-// Record text codecs shared by PointCache and CampaignStore: one line per
-// record, %.17g doubles for bit-exact reload. The returned lines include
-// the trailing newline.
-std::string format_point_record(std::uint64_t key, const CachedPoint& v);
-std::string format_baseline_record(std::uint64_t key, double goodput);
-/// Parse the text after the "P " / "B " tag. Returns false on a malformed
-/// (e.g. torn) line.
-bool parse_point_record(const char* text, std::uint64_t& key, CachedPoint& v);
-bool parse_baseline_record(const char* text, std::uint64_t& key,
-                           double& goodput);
+/// Copy a stored result into a result row and mark it kOk: the one copier
+/// behind run_sweep's hits and the campaign merge replay.
+void fill_cached_point(PointResult& slot, const CachedPoint& hit);
 
-/// What the sweep engine needs from a result store. `PointCache` is the
-/// single-process file implementation; `CampaignStore` adds multi-process
-/// work claiming on a sharded directory. All methods are thread-safe.
+/// What the sweep engine needs from a result store. `CampaignStore` is the
+/// file-backed implementation, with multi-process work claiming on a
+/// sharded directory. All methods are thread-safe.
 class PointStore {
  public:
   virtual ~PointStore() = default;
@@ -116,7 +95,7 @@ class PointStore {
 
   /// Work claiming for cooperating processes. A worker claims a task key
   /// before simulating it; the default (single-process) implementation
-  /// always acquires, so plain caches run every miss themselves.
+  /// always acquires, so a non-claiming store runs every miss itself.
   ///   kAcquired — this process owns the task and must simulate it (and
   ///               then store the result, which supersedes the claim).
   ///   kBusy     — another live process holds a lease; defer the task and
@@ -140,41 +119,6 @@ class PointStore {
   /// Pick up records appended by other processes since the last scan.
   /// No-op for single-process stores.
   virtual void refresh() {}
-};
-
-class PointCache : public PointStore {
- public:
-  /// Load `path` if it exists (tolerating corruption); appends create it,
-  /// including missing parent directories.
-  explicit PointCache(std::string path);
-  ~PointCache() override;
-
-  PointCache(const PointCache&) = delete;
-  PointCache& operator=(const PointCache&) = delete;
-
-  bool lookup_point(std::uint64_t key, CachedPoint& out) const override;
-  bool lookup_baseline(std::uint64_t key, double& goodput) const override;
-
-  /// Record a completed point/baseline: insert in memory and append to the
-  /// cache file. Appends go through an O_APPEND fd with the full record in
-  /// one write(2) under an advisory flock(2), so concurrent processes
-  /// appending to the same file cannot interleave a record (each sees the
-  /// other's lines whole on its next load). Thread-safe.
-  void store_point(std::uint64_t key, const CachedPoint& value) override;
-  void store_baseline(std::uint64_t key, double goodput) override;
-
-  std::size_t size() const override;
-  const std::string& path() const { return path_; }
-
- private:
-  void append(const std::string& line);
-
-  std::string path_;
-  bool rewrite_ = false;  // existing file had a foreign header: truncate it
-  mutable std::mutex mutex_;
-  std::unordered_map<std::uint64_t, CachedPoint> points_;
-  std::unordered_map<std::uint64_t, double> baselines_;
-  int fd_ = -1;  // opened lazily on first append (O_APPEND)
 };
 
 }  // namespace pdos::sweep

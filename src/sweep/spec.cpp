@@ -1,9 +1,7 @@
 #include "sweep/spec.hpp"
 
-#include <charconv>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <sstream>
 
 #include "util/assert.hpp"
@@ -30,36 +28,16 @@ std::vector<std::string> split_list(const std::string& value) {
   return items;
 }
 
-double parse_double(const std::string& value, int line) {
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  PDOS_REQUIRE(end != value.c_str() && *end == '\0',
-               "spec line " + std::to_string(line) + ": not a number: '" +
-                   value + "'");
-  return parsed;
+/// The `what` of a spec key's parse errors: "spec line 3: replicates".
+std::string field(int line, const std::string& key) {
+  return "spec line " + std::to_string(line) + ": " + key;
 }
 
-/// An integer key: the whole value must be a base-10 integer in
-/// [min, max of Int]. "4.7", "1e3", and out-of-range values are rejected,
-/// never truncated or rounded through a double.
-template <typename Int = int>
-Int parse_int(const std::string& key, const std::string& value, int line,
-              Int min) {
-  Int parsed{};
-  const char* end = value.data() + value.size();
-  const auto [stop, error] = std::from_chars(value.data(), end, parsed);
-  PDOS_REQUIRE(error == std::errc() && stop == end && parsed >= min,
-               "spec line " + std::to_string(line) + ": " + key +
-                   " must be an integer in [" + std::to_string(min) + ", " +
-                   std::to_string(std::numeric_limits<Int>::max()) +
-                   "], got '" + value + "'");
-  return parsed;
-}
-
-std::vector<double> parse_list(const std::string& value, int line) {
+std::vector<double> parse_list(const std::string& key,
+                               const std::string& value, int line) {
   std::vector<double> parsed;
   for (const std::string& item : split_list(value)) {
-    parsed.push_back(parse_double(item, line));
+    parsed.push_back(parse_double(field(line, key), item));
   }
   PDOS_REQUIRE(!parsed.empty(),
                "spec line " + std::to_string(line) + ": empty list");
@@ -67,6 +45,14 @@ std::vector<double> parse_list(const std::string& value, int line) {
 }
 
 }  // namespace
+
+double parse_double(const std::string& what, const std::string& value) {
+  char* end = nullptr;
+  const double parsed = std::strtod(value.c_str(), &end);
+  PDOS_REQUIRE(end != value.c_str() && *end == '\0',
+               what + ": not a number: '" + value + "'");
+  return parsed;
+}
 
 SpecFile parse_spec(const std::string& text) {
   SpecFile file;
@@ -108,48 +94,46 @@ SpecFile parse_spec(const std::string& text) {
                        ": backend must be full, fast, fluid or hybrid");
       file.spec.backend = *backend;
     } else if (key == "hybrid_foreground") {
-      file.spec.hybrid_foreground = parse_int(key, value, line, 1);
+      file.spec.hybrid_foreground = parse_int(field(line, key), value, 1);
     } else if (key == "flows") {
       file.spec.flow_counts.clear();
       for (const std::string& item : split_list(value)) {
-        file.spec.flow_counts.push_back(parse_int(key, item, line, 1));
+        file.spec.flow_counts.push_back(parse_int(field(line, key), item, 1));
       }
       PDOS_REQUIRE(!file.spec.flow_counts.empty(),
                    "spec line " + std::to_string(line) + ": empty list");
     } else if (key == "textent_ms") {
       file.spec.textents.clear();
-      for (double textent : parse_list(value, line)) {
+      for (double textent : parse_list(key, value, line)) {
         file.spec.textents.push_back(ms(textent));
       }
     } else if (key == "rattack_mbps") {
       file.spec.rattacks.clear();
-      for (double rattack : parse_list(value, line)) {
+      for (double rattack : parse_list(key, value, line)) {
         file.spec.rattacks.push_back(mbps(rattack));
       }
     } else if (key == "gamma") {
       file.spec.gammas.clear();
-      if (value != "auto") file.spec.gammas = parse_list(value, line);
+      if (value != "auto") file.spec.gammas = parse_list(key, value, line);
     } else if (key == "gamma_points") {
-      file.spec.gamma_points = parse_int(key, value, line, 2);
+      file.spec.gamma_points = parse_int(field(line, key), value, 2);
     } else if (key == "kappa") {
-      file.spec.kappa = parse_double(value, line);
+      file.spec.kappa = parse_double(field(line, key), value);
     } else if (key == "replicates") {
-      file.spec.replicates = parse_int(key, value, line, 1);
+      file.spec.replicates = parse_int(field(line, key), value, 1);
     } else if (key == "base_seed") {
       file.spec.base_seed =
-          parse_int<std::uint64_t>(key, value, line, 0);
+          parse_int<std::uint64_t>(field(line, key), value, 0);
     } else if (key == "warmup_s") {
-      file.spec.control.warmup = sec(parse_double(value, line));
+      file.spec.control.warmup = sec(parse_double(field(line, key), value));
     } else if (key == "measure_s") {
-      file.spec.control.measure = sec(parse_double(value, line));
+      file.spec.control.measure = sec(parse_double(field(line, key), value));
     } else if (key == "threads") {
-      file.options.threads = parse_int(key, value, line, 0);
+      file.options.threads = parse_int(field(line, key), value, 0);
     } else if (key == "csv") {
       file.csv_path = value;
     } else if (key == "json") {
       file.json_path = value;
-    } else if (key == "cache") {
-      file.options.cache_path = value;
     } else if (key == "store") {
       file.store_dir = value;
     } else {

@@ -23,11 +23,11 @@
 //   threads      = 0            # 0 = all hardware threads
 //   csv          = sweep.csv    # optional output paths
 //   json         = sweep.json
-//   cache        = points.cache # optional persistent point cache
-//   store        = campaign.d   # optional sharded campaign store directory
-//                               # (multi-process; overrides `cache`)
+//   store        = campaign.d   # optional result store directory (the
+//                               # CampaignStore that --resume also uses)
 //
-// Unknown keys are an error (they are always typos). Integer keys (flows,
+// Unknown keys are an error (they are always typos, or retired keys such
+// as `cache`, whose single-file store is gone). Integer keys (flows,
 // replicates, gamma_points, threads, hybrid_foreground, base_seed) take
 // exact base-10 integers: `4.7` or an out-of-range value is an error.
 // The whole spec is validated at parse time (SweepSpec::validate), so an
@@ -35,10 +35,13 @@
 // `queue = droptail` fails here, naming the field, before anything runs.
 #pragma once
 
+#include <charconv>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "sweep/sweep.hpp"
+#include "util/assert.hpp"
 
 namespace pdos::sweep {
 
@@ -47,11 +50,31 @@ struct SpecFile {
   SweepOptions options;
   std::string csv_path;   // empty: write CSV to stdout
   std::string json_path;  // empty: no JSON output
-  /// `store =`: CampaignStore directory to coordinate through. The caller
+  /// `store =`: CampaignStore directory to keep results in. The caller
   /// (pdos_sweep/pdos_campaign) owns the store object; this is just the
-  /// parsed path. Takes precedence over `cache` when both are set.
+  /// parsed path.
   std::string store_dir;
 };
+
+/// Exact numeric parsing, shared by the spec keys and the CLI flags. The
+/// whole of `value` must parse; `what` names the field in the ParameterError
+/// ("spec line 3: replicates", "--workers").
+double parse_double(const std::string& what, const std::string& value);
+
+/// An integer field: the whole value must be a base-10 integer in
+/// [min, max of Int]. "4.7", "1e3", and out-of-range values are rejected,
+/// never truncated or rounded through a double.
+template <typename Int = int>
+Int parse_int(const std::string& what, const std::string& value, Int min) {
+  Int parsed{};
+  const char* end = value.data() + value.size();
+  const auto [stop, error] = std::from_chars(value.data(), end, parsed);
+  PDOS_REQUIRE(error == std::errc() && stop == end && parsed >= min,
+               what + " must be an integer in [" + std::to_string(min) +
+                   ", " + std::to_string(std::numeric_limits<Int>::max()) +
+                   "], got '" + value + "'");
+  return parsed;
+}
 
 /// Parse spec text (the file contents). Throws ParameterError with a
 /// line-numbered message on malformed input.

@@ -274,6 +274,24 @@ void SweepResult::write_json(std::ostream& out) const {
   out << "]\n";
 }
 
+void fill_cached_point(PointResult& slot, const CachedPoint& hit) {
+  slot.c_psi = hit.c_psi;
+  slot.analytic_degradation = hit.analytic_degradation;
+  slot.analytic_gain = hit.analytic_gain;
+  slot.shrew = hit.shrew;
+  slot.baseline_goodput = hit.baseline_goodput;
+  slot.goodput = hit.goodput;
+  slot.measured_degradation = hit.measured_degradation;
+  slot.measured_gain = hit.measured_gain;
+  slot.utilization = hit.utilization;
+  slot.fairness = hit.fairness;
+  slot.timeouts = hit.timeouts;
+  slot.fast_recoveries = hit.fast_recoveries;
+  slot.attack_packets = hit.attack_packets;
+  slot.events = hit.events;
+  slot.status = PointStatus::kOk;
+}
+
 namespace {
 
 /// Baseline goodput for one (flows, replicate) pair.
@@ -420,24 +438,6 @@ std::vector<TaskGroup> group_by_flows(std::size_t n, GetSpec&& spec_of) {
 /// batched lanes are bit-identical to single-point solves at any width.
 constexpr std::size_t kFluidBatchWidth = 8;
 
-void fill_cached_point(PointResult& slot, const CachedPoint& hit) {
-  slot.c_psi = hit.c_psi;
-  slot.analytic_degradation = hit.analytic_degradation;
-  slot.analytic_gain = hit.analytic_gain;
-  slot.shrew = hit.shrew;
-  slot.baseline_goodput = hit.baseline_goodput;
-  slot.goodput = hit.goodput;
-  slot.measured_degradation = hit.measured_degradation;
-  slot.measured_gain = hit.measured_gain;
-  slot.utilization = hit.utilization;
-  slot.fairness = hit.fairness;
-  slot.timeouts = hit.timeouts;
-  slot.fast_recoveries = hit.fast_recoveries;
-  slot.attack_packets = hit.attack_packets;
-  slot.events = hit.events;
-  slot.status = PointStatus::kOk;
-}
-
 CachedPoint to_cached_point(const PointResult& slot) {
   CachedPoint record;
   record.c_psi = slot.c_psi;
@@ -513,10 +513,10 @@ enum class Resolution { kHit, kDeferred, kMiss };
 class SweepRun {
  public:
   SweepRun(const SweepSpec& spec, const SweepOptions& options,
-           PointStore* store, SweepResult& result)
+           SweepResult& result)
       : spec_(spec),
         options_(options),
-        store_(store),
+        store_(options.store),
         result_(result),
         baselines_(unique_baselines(result.points, baseline_index_)),
         meter_(baselines_.size() + result.points.size(),
@@ -864,15 +864,9 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options) {
     row.seed = replicate_seed(spec.base_seed, points[i].replicate);
   }
 
-  std::unique_ptr<PointCache> owned_cache;
-  PointStore* store = options.store;
-  if (store == nullptr && !options.cache_path.empty()) {
-    owned_cache = std::make_unique<PointCache>(options.cache_path);
-    store = owned_cache.get();
-  }
   ThreadPool pool(options.threads);
   result.threads = pool.size();
-  SweepRun run(spec, options, store, result);
+  SweepRun run(spec, options, result);
   run.run_phase(pool, /*baselines=*/true);
   run.run_phase(pool, /*baselines=*/false);
 

@@ -156,8 +156,8 @@ struct SweepResult {
   int threads = 1;
   double wall_seconds = 0.0;
   bool cancelled = false;
-  /// Tasks (baselines + points) answered from the point cache instead of
-  /// simulation. 0 when no cache was configured.
+  /// Tasks (baselines + points) answered from the result store instead of
+  /// simulation. 0 without a store.
   std::size_t cache_hits = 0;
   /// Tasks this process simulated itself (as opposed to cache hits and
   /// failures). Campaign workers sum this across processes to verify the
@@ -206,7 +206,7 @@ void write_aggregate_json(const std::vector<AggregateRow>& rows,
 struct SweepProgress {
   std::size_t done = 0;    // finished tasks (baselines + points)
   std::size_t total = 0;   // total tasks
-  std::size_t cached = 0;  // of `done`, answered from the point cache
+  std::size_t cached = 0;  // of `done`, answered from the result store
   double elapsed_seconds = 0.0;
   /// Wall-cost extrapolation of the remaining tasks. Cache hits replay in
   /// microseconds, so they are weighted as zero-cost: the per-task average
@@ -226,15 +226,12 @@ struct SweepOptions {
   /// Called with the pool's progress after each task; invocations are
   /// serialized, but may come from any worker thread.
   std::function<void(const SweepProgress&)> on_progress;
-  /// Persistent point-cache file (see sweep/point_cache.hpp). Completed
-  /// points are looked up before dispatch and appended after simulation,
-  /// so re-running a campaign resumes instead of recomputing. Empty
-  /// disables caching.
-  std::string cache_path;
-  /// External result store overriding `cache_path` (not owned; must outlive
-  /// the call). With a claiming store (CampaignStore), every cold task is
-  /// claimed before simulation: tasks another process holds a live lease on
-  /// are deferred and drained after the main pass — resolved from the store
+  /// Result store (not owned; must outlive the call; null: no caching).
+  /// Completed points are looked up before dispatch and stored after
+  /// simulation, so re-running a campaign resumes instead of recomputing.
+  /// With a claiming store (CampaignStore), every cold task is claimed
+  /// before simulation: tasks another process holds a live lease on are
+  /// deferred and drained after the main pass — resolved from the store
   /// when the other worker's result lands, or simulated locally once its
   /// lease expires. This is what lets K cooperating processes partition one
   /// grid with near-zero duplicated work.

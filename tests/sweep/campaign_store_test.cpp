@@ -15,25 +15,10 @@
 #include <string>
 #include <thread>
 
+#include "temp_dir.hpp"
+
 namespace pdos::sweep {
 namespace {
-
-class TempStoreDir {
- public:
-  TempStoreDir() {
-    char name[] = "/tmp/pdos_campaign_store_test_XXXXXX";
-    EXPECT_NE(mkdtemp(name), nullptr);
-    path_ = name;
-  }
-  ~TempStoreDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path_, ec);
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 CachedPoint sample_point(double salt = 0.0) {
   CachedPoint p;
@@ -60,7 +45,7 @@ std::uint64_t key_in_segment(unsigned seg, std::uint64_t low) {
 }
 
 TEST(CampaignStoreTest, MissThenHitAndReload) {
-  TempStoreDir dir;
+  TempDir dir;
   const CachedPoint stored = sample_point();
   {
     CampaignStore store(dir.path());
@@ -84,7 +69,7 @@ TEST(CampaignStoreTest, MissThenHitAndReload) {
 }
 
 TEST(CampaignStoreTest, ShardsByKeyPrefixAcrossSegmentFiles) {
-  TempStoreDir dir;
+  TempDir dir;
   CampaignStore store(dir.path());
   EXPECT_EQ(store.segments(), 16u);
   store.store_point(key_in_segment(0x0, 1), sample_point());
@@ -101,7 +86,7 @@ TEST(CampaignStoreTest, ShardsByKeyPrefixAcrossSegmentFiles) {
 }
 
 TEST(CampaignStoreTest, TornTailIsSkippedAndRepairedOnAppend) {
-  TempStoreDir dir;
+  TempDir dir;
   const std::uint64_t key = key_in_segment(0x3, 7);
   std::string seg_path;
   {
@@ -131,7 +116,7 @@ TEST(CampaignStoreTest, TornTailIsSkippedAndRepairedOnAppend) {
 }
 
 TEST(CampaignStoreTest, ConcurrentForkAppendsAllSurvive) {
-  TempStoreDir dir;
+  TempDir dir;
   constexpr int kChildren = 4;
   constexpr std::uint64_t kPerChild = 50;
   std::vector<pid_t> pids;
@@ -172,7 +157,7 @@ TEST(CampaignStoreTest, ConcurrentForkAppendsAllSurvive) {
 }
 
 TEST(CampaignStoreTest, ClaimProtocolAcquireBusyDoneRelease) {
-  TempStoreDir dir;
+  TempDir dir;
   CampaignStore a(dir.path());
   CampaignStore b(dir.path());
   EXPECT_NE(a.owner(), b.owner());
@@ -206,7 +191,7 @@ TEST(CampaignStoreTest, ClaimProtocolAcquireBusyDoneRelease) {
 }
 
 TEST(CampaignStoreTest, ExpiredLeaseIsReclaimable) {
-  TempStoreDir dir;
+  TempDir dir;
   CampaignStore crashed(dir.path(), /*lease_ttl_seconds=*/0.05);
   CampaignStore survivor(dir.path(), /*lease_ttl_seconds=*/0.05);
   const std::uint64_t key = key_in_segment(0x9, 21);
@@ -219,7 +204,7 @@ TEST(CampaignStoreTest, ExpiredLeaseIsReclaimable) {
 }
 
 TEST(CampaignStoreTest, RefreshFoldsInPeerAppendsIncrementally) {
-  TempStoreDir dir;
+  TempDir dir;
   CampaignStore writer(dir.path());
   CampaignStore reader(dir.path());
   const std::uint64_t key = key_in_segment(0xa, 31);
@@ -238,7 +223,7 @@ TEST(CampaignStoreTest, RefreshFoldsInPeerAppendsIncrementally) {
 }
 
 TEST(CampaignStoreTest, CompactDropsCoordinationRecordsKeepsResults) {
-  TempStoreDir dir;
+  TempDir dir;
   CampaignStore store(dir.path());
   const std::uint64_t done = key_in_segment(0xb, 41);
   const std::uint64_t abandoned = key_in_segment(0xb, 42);
@@ -264,7 +249,7 @@ TEST(CampaignStoreTest, CompactDropsCoordinationRecordsKeepsResults) {
 }
 
 TEST(CampaignStoreTest, ForeignSegmentLoadsEmptyAndIsRewritten) {
-  TempStoreDir dir;
+  TempDir dir;
   const std::uint64_t key = key_in_segment(0x4, 51);
   std::string seg_path;
   {

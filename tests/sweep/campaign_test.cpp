@@ -14,27 +14,10 @@
 #include <string>
 
 #include "sweep/campaign_store.hpp"
+#include "temp_dir.hpp"
 
 namespace pdos::sweep {
 namespace {
-
-class TempDir {
- public:
-  TempDir() {
-    char name[] = "/tmp/pdos_campaign_test_XXXXXX";
-    EXPECT_NE(mkdtemp(name), nullptr);
-    path_ = name;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path_, ec);
-  }
-  std::string sub(const std::string& leaf) const { return path_ + "/" + leaf; }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 /// Small, fast-backend grid: 2 points x 2 replicates + 2 baselines.
 SweepSpec tiny_spec() {

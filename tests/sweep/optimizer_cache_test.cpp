@@ -7,33 +7,12 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdio>
-#include <string>
-
 #include "core/optimizer.hpp"
-#include "sweep/point_cache.hpp"
+#include "sweep/campaign_store.hpp"
+#include "temp_dir.hpp"
 
 namespace pdos::sweep {
 namespace {
-
-class TempCacheFile {
- public:
-  TempCacheFile() {
-    char name[] = "/tmp/pdos_optimizer_cache_test_XXXXXX";
-    const int fd = mkstemp(name);
-    EXPECT_GE(fd, 0);
-    if (fd >= 0) close(fd);
-    path_ = name;
-    std::remove(path_.c_str());
-  }
-  ~TempCacheFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 GammaSearch quick_search() {
   GammaSearch search;
@@ -65,13 +44,13 @@ void expect_same_search_result(const GammaSearchResult& a,
 }
 
 TEST(OptimizerCacheTest, ResumedSearchSkipsSolvedFluidLanes) {
-  TempCacheFile file;
+  TempDir dir;
   GammaSearch search = quick_search();
 
   GammaSearchResult cold;
   {
-    PointCache cache(file.path());
-    FluidGainPointStoreCache fluid_cache(cache);
+    CampaignStore store(dir.path());
+    FluidGainPointStoreCache fluid_cache(store);
     search.fluid_cache = &fluid_cache;
     cold = search_confirm_gamma(search);
   }
@@ -79,11 +58,11 @@ TEST(OptimizerCacheTest, ResumedSearchSkipsSolvedFluidLanes) {
   EXPECT_EQ(cold.fluid_runs, search.grid_points + 1);
   EXPECT_EQ(cold.packet_runs, search.confirm_top + 1);
 
-  // Resume from the PERSISTED file in a fresh store instance, as a
-  // restarted process would.
-  PointCache cache(file.path());
-  EXPECT_GT(cache.size(), 0u);
-  FluidGainPointStoreCache fluid_cache(cache);
+  // Resume from the PERSISTED store in a fresh instance, as a restarted
+  // process would.
+  CampaignStore store(dir.path());
+  EXPECT_GT(store.size(), 0u);
+  FluidGainPointStoreCache fluid_cache(store);
   search.fluid_cache = &fluid_cache;
   const GammaSearchResult warm = search_confirm_gamma(search);
 
@@ -93,9 +72,9 @@ TEST(OptimizerCacheTest, ResumedSearchSkipsSolvedFluidLanes) {
 }
 
 TEST(OptimizerCacheTest, PartiallyWarmedStoreSolvesOnlyTheMisses) {
-  TempCacheFile file;
-  PointCache cache(file.path());
-  FluidGainPointStoreCache fluid_cache(cache);
+  TempDir dir;
+  CampaignStore store(dir.path());
+  FluidGainPointStoreCache fluid_cache(store);
 
   // Warm 2 of the 5 grid lanes plus the baseline by hand, with sentinel
   // gains that can't arise from a real solve — proving hits come from the

@@ -1,36 +1,22 @@
-// PointCache: key derivation sensitivity, persistence round-trips, and
-// tolerance of corrupt or foreign cache files.
+// Result stores: point/baseline key sensitivity to every input that shapes
+// a run and stability across calls, then the PointStore persistence
+// contract — miss then hit, bit-exact reload, tolerance of corrupt or
+// foreign files, directory creation — on the file-backed store,
+// CampaignStore. Its sharding, claims and compaction are covered by
+// campaign_store_test.
 #include "sweep/point_cache.hpp"
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdio>
 #include <fstream>
 #include <string>
 
+#include "sweep/campaign_store.hpp"
 #include "sweep/sweep.hpp"
+#include "temp_dir.hpp"
 
 namespace pdos::sweep {
 namespace {
-
-class TempCacheFile {
- public:
-  TempCacheFile() {
-    char name[] = "/tmp/pdos_point_cache_test_XXXXXX";
-    const int fd = mkstemp(name);
-    EXPECT_GE(fd, 0);
-    if (fd >= 0) close(fd);
-    path_ = name;
-    std::remove(path_.c_str());  // tests want "file does not exist yet"
-  }
-  ~TempCacheFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 SweepSpec quick_spec() {
   SweepSpec spec;
@@ -63,8 +49,9 @@ CachedPoint sample_point() {
 }
 
 TEST(PointCacheTest, MissThenHit) {
-  TempCacheFile file;
-  PointCache cache(file.path());
+  TempDir dir;
+  CampaignStore store(dir.path());
+  PointStore& cache = store;
   CachedPoint out;
   EXPECT_FALSE(cache.lookup_point(42, out));
   cache.store_point(42, sample_point());
@@ -74,24 +61,32 @@ TEST(PointCacheTest, MissThenHit) {
 }
 
 TEST(PointCacheTest, PersistsExactDoublesAcrossReload) {
-  TempCacheFile file;
+  TempDir dir;
   const CachedPoint stored = sample_point();
   {
-    PointCache cache(file.path());
+    CampaignStore cache(dir.path());
     cache.store_point(7, stored);
     cache.store_baseline(9, 14095466.666666666);
   }
-  PointCache reloaded(file.path());
+  CampaignStore reloaded(dir.path());
   EXPECT_EQ(reloaded.size(), 2u);
   CachedPoint out;
   ASSERT_TRUE(reloaded.lookup_point(7, out));
-  // Bit-exact round-trip: cached results must reproduce the CSV a live
-  // run would write, byte for byte.
+  // Bit-exact round-trip of every field: cached results must reproduce the
+  // CSV a live run would write, byte for byte.
   EXPECT_EQ(out.c_psi, stored.c_psi);
+  EXPECT_EQ(out.analytic_degradation, stored.analytic_degradation);
+  EXPECT_EQ(out.analytic_gain, stored.analytic_gain);
+  EXPECT_EQ(out.shrew, stored.shrew);
   EXPECT_EQ(out.baseline_goodput, stored.baseline_goodput);
   EXPECT_EQ(out.goodput, stored.goodput);
+  EXPECT_EQ(out.measured_degradation, stored.measured_degradation);
+  EXPECT_EQ(out.measured_gain, stored.measured_gain);
+  EXPECT_EQ(out.utilization, stored.utilization);
   EXPECT_EQ(out.fairness, stored.fairness);
-  EXPECT_EQ(out.shrew, stored.shrew);
+  EXPECT_EQ(out.timeouts, stored.timeouts);
+  EXPECT_EQ(out.fast_recoveries, stored.fast_recoveries);
+  EXPECT_EQ(out.attack_packets, stored.attack_packets);
   EXPECT_EQ(out.events, stored.events);
   double goodput = 0.0;
   ASSERT_TRUE(reloaded.lookup_baseline(9, goodput));
@@ -99,21 +94,23 @@ TEST(PointCacheTest, PersistsExactDoublesAcrossReload) {
 }
 
 TEST(PointCacheTest, SkipsMalformedLines) {
-  TempCacheFile file;
+  TempDir dir;
+  std::string seg_path;
   {
-    PointCache cache(file.path());
+    CampaignStore cache(dir.path());
     cache.store_point(1, sample_point());
     cache.store_baseline(2, 5.0);
+    seg_path = cache.segment_path(1);  // keys 1, 2 and 0xff share it
   }
   // Simulate a torn tail write plus random garbage in the middle.
   {
-    std::ofstream out(file.path(), std::ios::app);
+    std::ofstream out(seg_path, std::ios::app);
     out << "X nonsense record\n";
     out << "P 00000000000000ff 1.0 2.0\n";  // truncated point line
     out << "B zzzz not-a-number\n";
     out << "P 00000000000000";  // no newline, torn mid-key
   }
-  PointCache reloaded(file.path());
+  CampaignStore reloaded(dir.path());
   EXPECT_EQ(reloaded.size(), 2u) << "only the two intact records survive";
   CachedPoint out;
   EXPECT_TRUE(reloaded.lookup_point(1, out));
@@ -122,17 +119,22 @@ TEST(PointCacheTest, SkipsMalformedLines) {
 }
 
 TEST(PointCacheTest, ForeignHeaderLoadsEmptyAndIsRewritten) {
-  TempCacheFile file;
+  TempDir dir;
+  std::string seg_path;
   {
-    std::ofstream out(file.path());
+    CampaignStore probe(dir.path());
+    seg_path = probe.segment_path(1);  // key 3 shares it
+  }
+  {
+    std::ofstream out(seg_path);
     out << "some-other-format-v9\n";
     out << "P 0000000000000001 1 1 1 1 1 1 1 1 1 1 1 1 1 1\n";
   }
-  PointCache cache(file.path());
+  CampaignStore cache(dir.path());
   EXPECT_EQ(cache.size(), 0u) << "foreign file must be ignored";
   cache.store_baseline(3, 7.0);
 
-  PointCache reloaded(file.path());
+  CampaignStore reloaded(dir.path());
   EXPECT_EQ(reloaded.size(), 1u);
   double goodput = 0.0;
   EXPECT_TRUE(reloaded.lookup_baseline(3, goodput));
@@ -140,18 +142,15 @@ TEST(PointCacheTest, ForeignHeaderLoadsEmptyAndIsRewritten) {
 }
 
 TEST(PointCacheTest, MissingDirectoryIsCreated) {
-  TempCacheFile file;
-  const std::string nested = file.path() + ".d/sub/points.cache";
+  TempDir dir;
+  const std::string nested = dir.sub("not/yet/there");
   {
-    PointCache cache(nested);
+    CampaignStore cache(nested);
     cache.store_baseline(1, 2.0);
   }
-  PointCache reloaded(nested);
+  CampaignStore reloaded(nested);
   double goodput = 0.0;
   EXPECT_TRUE(reloaded.lookup_baseline(1, goodput));
-  std::remove(nested.c_str());
-  std::remove((file.path() + ".d/sub").c_str());
-  std::remove((file.path() + ".d").c_str());
 }
 
 TEST(PointCacheKeyTest, DistinctPointsGetDistinctKeys) {
@@ -202,7 +201,7 @@ TEST(PointCacheKeyTest, BaselineKeyIgnoresAttackAxes) {
 
 TEST(PointCacheKeyTest, BackendIsPartOfTheKey) {
   // A --resume replay must never answer a fluid (or hybrid/fast) point
-  // from a cache populated by a full-packet campaign, or vice versa: the
+  // from a store populated by a full-packet campaign, or vice versa: the
   // tiers measure different things at identical parameters.
   const SweepSpec spec = quick_spec();
   PointSpec point;

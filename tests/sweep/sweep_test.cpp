@@ -2,11 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <random>
 #include <set>
@@ -14,7 +11,9 @@
 #include <utility>
 
 #include "core/planner.hpp"
+#include "sweep/campaign_store.hpp"
 #include "sweep/spec.hpp"
+#include "temp_dir.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -237,20 +236,16 @@ TEST(RunSweep, ProgressReachesTotal) {
 }
 
 TEST(RunSweep, CacheHitsAreWeightedNearZeroInEta) {
-  // The ETA extrapolates wall cost from the SIMULATED tasks only. An all-hit --resume replay must report eta 0 and
-  // cached == done at every snapshot, instead of pricing microsecond cache
-  // replays at full simulation cost.
-  char name[] = "/tmp/pdos_sweep_eta_test_XXXXXX";
-  const int fd = mkstemp(name);
-  ASSERT_GE(fd, 0);
-  close(fd);
-  std::remove(name);
-  const std::string cache_path = name;
-
+  // The ETA extrapolates wall cost from the SIMULATED tasks only. An
+  // all-hit --resume replay must report eta 0 and cached == done at every
+  // snapshot, instead of pricing microsecond store replays at full
+  // simulation cost.
+  TempDir dir;
+  CampaignStore store(dir.path());
   SweepSpec spec = tiny_spec();
   SweepOptions options;
   options.threads = 1;
-  options.cache_path = cache_path;
+  options.store = &store;
 
   // First pass simulates everything: no snapshot reports a cache hit.
   std::size_t snapshots = 0;
@@ -262,7 +257,7 @@ TEST(RunSweep, CacheHitsAreWeightedNearZeroInEta) {
   ASSERT_EQ(first.failures(), 0u);
   EXPECT_GT(snapshots, 0u);
 
-  // Resume: every task replays from the cache, so the simulated-task count
+  // Resume: every task replays from the store, so the simulated-task count
   // stays zero and the hit-weighted ETA must stay exactly 0.
   options.on_progress = [](const SweepProgress& progress) {
     EXPECT_EQ(progress.cached, progress.done);
@@ -271,8 +266,6 @@ TEST(RunSweep, CacheHitsAreWeightedNearZeroInEta) {
   const SweepResult resumed = run_sweep(spec, options);
   EXPECT_EQ(resumed.failures(), 0u);
   EXPECT_EQ(resumed.cache_hits, resumed.points.size() + 2u);  // + baselines
-
-  std::remove(cache_path.c_str());
 }
 
 TEST(RunSweep, MeasurementsAreSane) {
@@ -378,7 +371,7 @@ TEST(SpecParser, RejectsUnknownKeysAndGarbage) {
             18446744073709551615ull);
   // Retired keys fail as unknown keys, naming the key: a spec that still
   // sets them must not silently run without them.
-  for (const char* key : {"batch_replicates", "shards"}) {
+  for (const char* key : {"batch_replicates", "shards", "cache"}) {
     SCOPED_TRACE(key);
     try {
       parse_spec(std::string(key) + " = 4\n");
@@ -401,6 +394,28 @@ TEST(SpecParser, RejectsUnknownKeysAndGarbage) {
   EXPECT_THROW(parse_spec("backend = hybrid\nflows = 4\n"
                           "hybrid_foreground = 4\n"),
                ParameterError);
+  // The CLIs read their numeric flags through the same exact parsers:
+  // garbage is an error naming the flag, never a silent 0.
+  EXPECT_EQ(parse_int("--workers", "4", 1), 4);
+  EXPECT_EQ(parse_double("--lease-ttl", "2.5"), 2.5);
+  for (const char* bad : {"2.5", "x", "", "0", "4 "}) {
+    SCOPED_TRACE(bad);
+    try {
+      parse_int("--workers", bad, 1);
+      ADD_FAILURE() << "--workers " << bad << " parsed";
+    } catch (const ParameterError& e) {
+      EXPECT_NE(std::string(e.what()).find("--workers"), std::string::npos);
+    }
+  }
+  for (const char* bad : {"abc", "", "1s"}) {
+    SCOPED_TRACE(bad);
+    try {
+      parse_double("--lease-ttl", bad);
+      ADD_FAILURE() << "--lease-ttl " << bad << " parsed";
+    } catch (const ParameterError& e) {
+      EXPECT_NE(std::string(e.what()).find("--lease-ttl"), std::string::npos);
+    }
+  }
 }
 
 TEST(RunSweep, FluidBackendProducesComparableDegradation) {

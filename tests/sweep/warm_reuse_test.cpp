@@ -2,18 +2,16 @@
 // scenario and been rewound must produce bit-identical results to a fresh
 // Simulator for the next scenario — the reset contract the sweep engine's
 // worker reuse depends on. Also pins the end-to-end resume path: running
-// the same sweep twice against one cache file answers every task from the
-// cache with a byte-identical CSV.
+// the same sweep twice against one result store answers every task from
+// the store with a byte-identical CSV.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdio>
 #include <sstream>
-#include <string>
 
 #include "core/experiment.hpp"
+#include "sweep/campaign_store.hpp"
 #include "sweep/sweep.hpp"
+#include "temp_dir.hpp"
 #include "util/units.hpp"
 
 namespace pdos {
@@ -86,13 +84,7 @@ TEST(WarmReuseTest, WarmRunsDoNotGrowTheArena) {
 }
 
 TEST(WarmReuseTest, CachedSweepReplaysByteIdentically) {
-  char name[] = "/tmp/pdos_warm_reuse_cache_XXXXXX";
-  const int fd = mkstemp(name);
-  ASSERT_GE(fd, 0);
-  close(fd);
-  std::remove(name);
-  const std::string cache_path = name;
-
+  TempDir dir;
   sweep::SweepSpec spec;
   spec.flow_counts = {5, 7};
   spec.textents = {ms(50)};
@@ -103,15 +95,23 @@ TEST(WarmReuseTest, CachedSweepReplaysByteIdentically) {
 
   sweep::SweepOptions options;
   options.threads = 1;
-  options.cache_path = cache_path;
 
-  const sweep::SweepResult cold = sweep::run_sweep(spec, options);
+  sweep::SweepResult cold;
+  {
+    sweep::CampaignStore store(dir.path());
+    options.store = &store;
+    cold = sweep::run_sweep(spec, options);
+  }
   ASSERT_EQ(cold.failures(), 0u);
   EXPECT_EQ(cold.cache_hits, 0u);
 
+  // Resume from the persisted store in a fresh instance, as a restarted
+  // process would.
+  sweep::CampaignStore store(dir.path());
+  options.store = &store;
   const sweep::SweepResult resumed = sweep::run_sweep(spec, options);
   ASSERT_EQ(resumed.failures(), 0u);
-  // Every task answered from the cache: one baseline per flow count plus
+  // Every task answered from the store: one baseline per flow count plus
   // every point.
   EXPECT_EQ(resumed.cache_hits, 2u + cold.points.size());
 
@@ -121,8 +121,6 @@ TEST(WarmReuseTest, CachedSweepReplaysByteIdentically) {
   resumed.write_csv(resumed_csv);
   EXPECT_EQ(cold_csv.str(), resumed_csv.str())
       << "resume must reproduce the cold CSV byte for byte";
-
-  std::remove(cache_path.c_str());
 }
 
 TEST(WarmReuseTest, SweepWithoutCachePathRecordsNoHits) {

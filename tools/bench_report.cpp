@@ -4,7 +4,7 @@
 // (interleaved fast/full A/B), the fluid-surrogate vs packet A/B on a
 // fig. 6 quick grid point, the 1-worker vs K-worker multi-process
 // campaign A/B over a shared CampaignStore (DESIGN.md §15), and a fixed
-// fig. 6 quick-mode sweep (cold and cache-resumed), and writes
+// fig. 6 quick-mode sweep (cold, then resumed from its store), and writes
 // BENCH_engine.json, BENCH_datapath.json, BENCH_sweep.json,
 // BENCH_scale.json, BENCH_fluid.json, and BENCH_campaign.json.
 //
@@ -106,6 +106,7 @@
 #include "sim/timer.hpp"
 #include "stats/stats_hub.hpp"
 #include "sweep/campaign.hpp"
+#include "sweep/campaign_store.hpp"
 #include "sweep/sweep.hpp"
 #include "util/units.hpp"
 
@@ -323,7 +324,7 @@ struct ScaleSample {
 ScaleSample run_large_scale(ScenarioWorkspace& ws, int flows, BitRate rate,
                             bool fast) {
   ScenarioConfig config = ScenarioConfig::large_scale(flows, rate);
-  config.fast_path = fast;
+  config.backend = fast ? Backend::kFast : Backend::kFull;
   const RunControl control = large_scale_control();
   const auto start = Clock::now();
   const RunResult result = ws.run(config, large_scale_train(rate), control);
@@ -684,12 +685,15 @@ sweep::SweepSpec fig06_quick_spec() {
   return spec;
 }
 
+/// One fig. 6 quick sweep over the result store at `store_dir`; the wall
+/// includes opening (loading) the store, as a --resume run pays it.
 double fig06_quick_sweep_seconds(std::size_t* points_out,
-                                 const std::string& cache_path = {}) {
+                                 const std::string& store_dir) {
+  const auto start = Clock::now();
+  sweep::CampaignStore store(store_dir);
   sweep::SweepOptions options;
   options.threads = 1;
-  options.cache_path = cache_path;
-  const auto start = Clock::now();
+  options.store = &store;
   const sweep::SweepResult result =
       sweep::run_sweep(fig06_quick_spec(), options);
   const double wall = seconds_since(start);
@@ -1125,16 +1129,16 @@ int main(int argc, char** argv) {
   }
 
   if (!skip_sweep) {
-    // Cold sweep (populates a throwaway cache), then an all-hit resume of
+    // Cold sweep (populates a throwaway store), then an all-hit resume of
     // the identical campaign. The wall-clock pair is informational — too
     // machine-dependent to gate — but rides in BENCH_sweep.json so every
     // report carries the resume story.
-    const std::string tmp_cache = sweep_out_path + ".points.cache.tmp";
-    std::filesystem::remove(tmp_cache);
+    const std::string tmp_store = sweep_out_path + ".store.tmp";
+    std::filesystem::remove_all(tmp_store);
     std::size_t points = 0;
-    const double cold = fig06_quick_sweep_seconds(&points, tmp_cache);
-    const double resume = fig06_quick_sweep_seconds(nullptr, tmp_cache);
-    std::filesystem::remove(tmp_cache);
+    const double cold = fig06_quick_sweep_seconds(&points, tmp_store);
+    const double resume = fig06_quick_sweep_seconds(nullptr, tmp_store);
+    std::filesystem::remove_all(tmp_store);
     std::printf("%-36s %12.2f s (%zu points, 1 thread)\n",
                 "fig06_quick_cold_wall_seconds", cold, points);
     std::printf("%-36s %12.4f s (all cache hits)\n",

@@ -15,10 +15,11 @@
 // single-process run.
 //
 //   --store DIR          CampaignStore directory (default
-//                        .pdos-cache/campaign; spec `store =` overrides the
-//                        default, the flag overrides the spec)
-//   --workers K          worker processes (default 2)
-//   --threads N          threads per worker (default: all hardware threads)
+//                        .pdos-cache/campaign, which `pdos_sweep --resume`
+//                        shares; spec `store =` overrides the default, the
+//                        flag overrides the spec)
+//   --workers K          worker processes (default 2, at least 1)
+//   --threads N          threads per worker (default 0: all hardware threads)
 //   --csv-dir DIR        write each spec's merged CSV to DIR/<spec-stem>.csv
 //                        (overrides the spec's `csv =`)
 //   --lease-ttl S        work-claim lifetime in seconds (default 120)
@@ -31,10 +32,9 @@
 //
 // Exit status: 0 on success; 1 when any point failed, a worker crashed, or
 // an --assert-no-dup check tripped; 2 on a usage or spec error (including a
-// spec whose grid enumerates no points).
+// spec whose grid enumerates no points and a flag value that does not parse
+// exactly, e.g. `--workers 2.5`).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -67,33 +67,41 @@ int main(int argc, char** argv) {
   bool compact = false;
   bool quiet = false;
 
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--store") == 0 && i + 1 < argc) {
-      store_flag = argv[++i];
-    } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      options.workers = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      options.threads = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--csv-dir") == 0 && i + 1 < argc) {
-      csv_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--lease-ttl") == 0 && i + 1 < argc) {
-      options.lease_ttl_seconds = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--partial-interval") == 0 &&
-               i + 1 < argc) {
-      options.partial_interval_seconds = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--keep-going") == 0) {
-      options.keep_going = true;
-    } else if (std::strcmp(argv[i], "--assert-no-dup") == 0) {
-      assert_no_dup = true;
-    } else if (std::strcmp(argv[i], "--compact") == 0) {
-      compact = true;
-    } else if (std::strcmp(argv[i], "--quiet") == 0) {
-      quiet = true;
-    } else if (argv[i][0] == '-') {
-      return usage();
-    } else {
-      spec_paths.push_back(argv[i]);
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string flag = argv[i];
+      const bool has_value = i + 1 < argc;
+      if (flag == "--store" && has_value) {
+        store_flag = argv[++i];
+      } else if (flag == "--workers" && has_value) {
+        options.workers = sweep::parse_int(flag, argv[++i], 1);
+      } else if (flag == "--threads" && has_value) {
+        options.threads = sweep::parse_int(flag, argv[++i], 0);
+      } else if (flag == "--csv-dir" && has_value) {
+        csv_dir = argv[++i];
+      } else if (flag == "--lease-ttl" && has_value) {
+        options.lease_ttl_seconds = sweep::parse_double(flag, argv[++i]);
+      } else if (flag == "--partial-interval" && has_value) {
+        options.partial_interval_seconds =
+            sweep::parse_double(flag, argv[++i]);
+      } else if (flag == "--keep-going") {
+        options.keep_going = true;
+      } else if (flag == "--assert-no-dup") {
+        assert_no_dup = true;
+      } else if (flag == "--compact") {
+        compact = true;
+      } else if (flag == "--quiet") {
+        quiet = true;
+      } else if (flag[0] == '-') {
+        throw ParameterError("unknown flag or missing value: '" + flag +
+                             "'");
+      } else {
+        spec_paths.push_back(flag);
+      }
     }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "pdos_campaign: %s\n", e.what());
+    return usage();
   }
   if (spec_paths.empty()) return usage();
 
@@ -120,7 +128,7 @@ int main(int argc, char** argv) {
     // disagreeing specs are a configuration error (one campaign, one store).
     if (!file.store_dir.empty() && store_flag.empty()) {
       if (!options.store_dir.empty() &&
-          options.store_dir != sweep::CampaignOptions{}.store_dir &&
+          options.store_dir != sweep::kDefaultStoreDir &&
           options.store_dir != file.store_dir) {
         std::fprintf(stderr,
                      "pdos_campaign: specs disagree on store (%s vs %s)\n",
@@ -142,7 +150,7 @@ int main(int argc, char** argv) {
       if (p.done == p.total) std::fprintf(stderr, "\n");
     };
     std::fprintf(stderr, "pdos_campaign: %zu spec(s), %d workers, store %s\n",
-                 specs.size(), std::max(1, options.workers),
+                 specs.size(), options.workers,
                  options.store_dir.c_str());
   }
 

@@ -3,28 +3,28 @@
 //
 // Usage:
 //   pdos_sweep SPECFILE [--threads N] [--csv PATH] [--json PATH]
-//              [--aggregate PATH] [--resume] [--cache PATH]
-//              [--campaign DIR] [--progress-json] [--quiet] [--keep-going]
+//              [--aggregate PATH] [--resume] [--campaign DIR]
+//              [--progress-json] [--quiet] [--keep-going]
 //
 // The spec format is documented in src/sweep/spec.hpp (and README.md,
 // "Running parameter sweeps"). Command-line flags override the file.
 // Progress goes to stderr, the CSV table to --csv/`csv =` or stdout.
 // `--aggregate` additionally writes the per-point replicate statistics
 // (mean / sample stddev / 95% CI of gain and degradation) — CSV, or JSON
-// when the path ends in ".json". `--resume` enables the persistent point
-// cache at .pdos-cache/points.cache (or `--cache PATH`): completed points
-// are replayed instead of re-simulated, so an interrupted or repeated
-// campaign picks up where it left off. `--campaign DIR` (or `store =` in
-// the spec) coordinates through a sharded CampaignStore instead: several
-// pdos_sweep processes pointed at the same DIR partition a cold grid via
-// work claiming and share every result (see README.md, "Running
-// campaigns"). `--progress-json` emits machine-readable JSON-lines
-// progress on stderr for orchestrators and CI logs.
+// when the path ends in ".json". `--campaign DIR` (or `store =` in the
+// spec) keeps results in the CampaignStore at DIR: completed points are
+// replayed instead of re-simulated, so an interrupted or repeated sweep
+// picks up where it left off, and several pdos_sweep processes pointed at
+// the same DIR partition a cold grid via work claiming and share every
+// result (see README.md, "Running campaigns"). `--resume` is
+// `--campaign .pdos-cache/campaign` unless a store is already named: the
+// directory pdos_campaign uses by default, so a resumed sweep and a
+// campaign share results. `--progress-json` emits machine-readable
+// JSON-lines progress on stderr for orchestrators and CI logs.
 // Exit status: 0 on success, 1 when any point failed, 2 on a usage or spec
-// error (including a spec whose grid enumerates no points).
+// error (including a spec whose grid enumerates no points, an unknown or
+// retired flag such as --cache, and an unparsable flag value).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -41,7 +41,7 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: pdos_sweep SPECFILE [--threads N] [--csv PATH] "
-               "[--json PATH] [--aggregate PATH] [--resume] [--cache PATH] "
+               "[--json PATH] [--aggregate PATH] [--resume] "
                "[--campaign DIR] [--progress-json] [--quiet] "
                "[--keep-going]\n");
   return 2;
@@ -64,37 +64,43 @@ int main(int argc, char** argv) {
 
   bool quiet = false;
   bool progress_json = false;
+  bool resume = false;
   std::string aggregate_path;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      file.options.threads = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
-      file.csv_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      file.json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--aggregate") == 0 && i + 1 < argc) {
-      aggregate_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--resume") == 0) {
-      if (file.options.cache_path.empty()) {
-        file.options.cache_path = ".pdos-cache/points.cache";
+  try {
+    for (int i = 2; i < argc; ++i) {
+      const std::string flag = argv[i];
+      const bool has_value = i + 1 < argc;
+      if (flag == "--threads" && has_value) {
+        file.options.threads = sweep::parse_int(flag, argv[++i], 0);
+      } else if (flag == "--csv" && has_value) {
+        file.csv_path = argv[++i];
+      } else if (flag == "--json" && has_value) {
+        file.json_path = argv[++i];
+      } else if (flag == "--aggregate" && has_value) {
+        aggregate_path = argv[++i];
+      } else if (flag == "--resume") {
+        resume = true;
+      } else if (flag == "--campaign" && has_value) {
+        file.store_dir = argv[++i];
+      } else if (flag == "--progress-json") {
+        progress_json = true;
+      } else if (flag == "--quiet") {
+        quiet = true;
+      } else if (flag == "--keep-going") {
+        file.options.cancel_on_failure = false;
+      } else {
+        throw ParameterError("unknown flag or missing value: '" + flag +
+                             "'");
       }
-    } else if (std::strcmp(argv[i], "--cache") == 0 && i + 1 < argc) {
-      file.options.cache_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--campaign") == 0 && i + 1 < argc) {
-      file.store_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--progress-json") == 0) {
-      progress_json = true;
-    } else if (std::strcmp(argv[i], "--quiet") == 0) {
-      quiet = true;
-    } else if (std::strcmp(argv[i], "--keep-going") == 0) {
-      file.options.cancel_on_failure = false;
-    } else {
-      return usage();
     }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "pdos_sweep: %s\n", e.what());
+    return usage();
+  }
+  if (resume && file.store_dir.empty()) {
+    file.store_dir = sweep::kDefaultStoreDir;
   }
 
-  // A campaign store (from --campaign or `store =`) supersedes the
-  // single-file cache: same keys, plus multi-process claiming.
   std::unique_ptr<sweep::CampaignStore> store;
   if (!file.store_dir.empty()) {
     store = std::make_unique<sweep::CampaignStore>(file.store_dir);
@@ -138,9 +144,6 @@ int main(int argc, char** argv) {
                    "pdos_sweep: %zu store hits, %zu simulated (%s)\n",
                    result.cache_hits, result.simulated,
                    file.store_dir.c_str());
-    } else if (!file.options.cache_path.empty()) {
-      std::fprintf(stderr, "pdos_sweep: %zu cache hits (%s)\n",
-                   result.cache_hits, file.options.cache_path.c_str());
     }
   }
 
