@@ -20,8 +20,6 @@
 // Exit status: 0 on success, 1 when a sweep point failed, 2 on a usage or
 // configuration error — an unknown flag, a value that does not parse, or a
 // scenario or spec that cannot run — with a message naming the flag.
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -29,7 +27,6 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <type_traits>
 
 #include "pdos/pdos.hpp"
 #include "sweep/campaign_store.hpp"
@@ -75,22 +72,21 @@ class Args {
     return it == values_.end() ? fallback : it->second;
   }
 
-  /// A numeric flag: the whole value must parse as a T (a finite number,
-  /// or an exact base-10 integer for integral T).
-  template <typename T>
-  T number(const std::string& flag, T fallback) const {
+  /// A real-valued flag, parsed like a spec number: the whole value must
+  /// be a finite number.
+  double real(const std::string& flag, double fallback) const {
     const auto it = values_.find(flag);
-    if (it == values_.end()) return fallback;
-    const std::string& value = it->second;
-    T parsed{};
-    const char* end = value.data() + value.size();
-    const auto [stop, error] = std::from_chars(value.data(), end, parsed);
-    bool ok = error == std::errc() && stop == end;
-    if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(parsed);
-    PDOS_REQUIRE(ok, flag + ": not " +
-                         (std::is_integral_v<T> ? "an integer" : "a number") +
-                         ": '" + value + "'");
-    return parsed;
+    return it == values_.end() ? fallback
+                               : sweep::parse_double(flag, it->second);
+  }
+
+  /// An integer flag, parsed like an integer spec key: the whole value must
+  /// be a base-10 integer of at least `min`.
+  template <typename Int>
+  Int integer(const std::string& flag, Int fallback, Int min) const {
+    const auto it = values_.find(flag);
+    return it == values_.end() ? fallback
+                               : sweep::parse_int<Int>(flag, it->second, min);
   }
 
   /// A flag whose value must be one of `choices`.
@@ -110,7 +106,7 @@ class Args {
 int run_sweep_mode(const std::string& spec_path, const Args& args) {
   sweep::SpecFile file = sweep::load_spec_file(spec_path);
   sweep::enumerate_nonempty(file.spec);
-  const int threads = args.number("--threads", 0);
+  const int threads = args.integer("--threads", 0, 0);
   if (threads > 0) file.options.threads = threads;
   std::optional<sweep::CampaignStore> store;
   if (!file.store_dir.empty()) {
@@ -142,13 +138,13 @@ int run_sweep_mode(const std::string& spec_path, const Args& args) {
 
 int run_single(const Args& args) {
   ScenarioConfig scenario =
-      ScenarioConfig::ns2_dumbbell(args.number("--flows", 15));
-  scenario.bottleneck = mbps(args.number("--bottleneck", 15.0));
+      ScenarioConfig::ns2_dumbbell(args.integer("--flows", 15, 1));
+  scenario.bottleneck = mbps(args.real("--bottleneck", 15.0));
   scenario.buffer_packets =
-      args.number<std::size_t>("--buffer", scenario.buffer_packets);
+      args.integer<std::size_t>("--buffer", scenario.buffer_packets, 1);
   scenario.tcp.rto_min =
-      ms(args.number("--rtomin", to_ms(scenario.tcp.rto_min)));
-  scenario.seed = args.number<std::uint64_t>("--seed", 1);
+      ms(args.real("--rtomin", to_ms(scenario.tcp.rto_min)));
+  scenario.seed = args.integer<std::uint64_t>("--seed", 1, 0);
 
   const std::string queue =
       args.choice("--queue", "red", {"red", "droptail"});
@@ -162,11 +158,11 @@ int run_single(const Args& args) {
   scenario.backend = *parse_backend(
       args.choice("--backend", "full", {"full", "fast", "fluid", "hybrid"}));
   scenario.hybrid_foreground =
-      args.number("--foreground", scenario.hybrid_foreground);
+      args.integer("--foreground", scenario.hybrid_foreground, 1);
 
   RunControl control;
-  control.warmup = sec(args.number("--warmup", 5.0));
-  control.measure = sec(args.number("--measure", 20.0));
+  control.warmup = sec(args.real("--warmup", 5.0));
+  control.measure = sec(args.real("--measure", 20.0));
 
   std::printf("scenario: %d flows, %.1f Mbps %s bottleneck, B=%zu pkts, "
               "TCP %s, minRTO=%.0fms, seed=%llu, backend=%s\n",
@@ -187,12 +183,12 @@ int run_single(const Args& args) {
 
   AttackPlanRequest request;
   request.victim = scenario.victim_profile();
-  request.textent = ms(args.number("--textent", 50.0));
-  request.rattack = mbps(args.number("--rattack", 25.0));
-  request.kappa = args.number("--kappa", 1.0);
+  request.textent = ms(args.real("--textent", 50.0));
+  request.rattack = mbps(args.real("--rattack", 25.0));
+  request.kappa = args.real("--kappa", 1.0);
   request.victim_min_rto = scenario.tcp.rto_min;
 
-  const double gamma = args.number("--gamma", -1.0);
+  const double gamma = args.real("--gamma", -1.0);
   const AttackPlan plan = gamma > 0.0
                               ? plan_attack_at_gamma(request, gamma)
                               : plan_attack(request);

@@ -4,6 +4,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -18,33 +19,37 @@ namespace pdos::sweep {
 
 namespace {
 
-/// Insert every task key of `spec` (points + deduped baselines) into `keys`.
-void collect_task_keys(const SweepSpec& spec,
-                       std::unordered_set<std::uint64_t>& keys) {
+/// One task of a spec: a point, or the baseline of a (flows, replicate)
+/// pair.
+struct Task {
+  std::uint64_t key;
+  bool baseline;
+};
+
+/// Every task of `spec` in one enumeration, as run_sweep dispatches them:
+/// each point, and each pair's baseline where the pair first appears. The
+/// size is the task total run_sweep reports for the spec.
+std::vector<Task> spec_tasks(const SweepSpec& spec) {
+  std::vector<Task> tasks;
   PairIndex baseline_pairs;
   std::size_t next_slot = 0;
   for (const PointSpec& point : spec.enumerate()) {
     const std::uint64_t seed = replicate_seed(spec.base_seed, point.replicate);
-    keys.insert(point_key(spec, point, seed));
+    tasks.push_back({point_key(spec, point, seed), false});
     if (baseline_pairs.insert(point.flows, point.replicate, next_slot)
             .second) {
       ++next_slot;
-      keys.insert(baseline_key(spec, point, seed));
+      tasks.push_back({baseline_key(spec, point, seed), true});
     }
   }
+  return tasks;
 }
 
-/// Task count run_sweep will report for `spec` (points + unique baselines).
-std::size_t spec_task_total(const SweepSpec& spec) {
-  const std::vector<PointSpec> points = spec.enumerate();
-  PairIndex pairs;
-  std::size_t baselines = 0;
-  for (const PointSpec& point : points) {
-    if (pairs.insert(point.flows, point.replicate, baselines).second) {
-      ++baselines;
-    }
-  }
-  return points.size() + baselines;
+std::size_t distinct_keys(const std::vector<Task>& tasks) {
+  std::unordered_set<std::uint64_t> keys;
+  keys.reserve(tasks.size());
+  for (const Task& task : tasks) keys.insert(task.key);
+  return keys.size();
 }
 
 std::ofstream open_output(const std::string& path) {
@@ -105,9 +110,7 @@ bool CampaignResult::ok() const {
 }
 
 std::size_t count_unique_tasks(const SweepSpec& spec) {
-  std::unordered_set<std::uint64_t> keys;
-  collect_task_keys(spec, keys);
-  return keys.size();
+  return distinct_keys(spec_tasks(spec));
 }
 
 SweepResult replay_from_store(const SweepSpec& spec, const PointStore& store) {
@@ -131,24 +134,44 @@ SweepResult replay_from_store(const SweepSpec& spec, const PointStore& store) {
 CampaignResult run_campaign(const std::vector<CampaignSpec>& specs,
                             const CampaignOptions& options) {
   PDOS_REQUIRE(!specs.empty(), "run_campaign: no specs");
-  const int workers = std::max(1, options.workers);
   const auto start = std::chrono::steady_clock::now();
 
+  // The parent's view of the store, opened before any fork. One pass over
+  // every task key counts the unique tasks, each spec's total, and the
+  // tasks the store has no result for; only those need a worker, so a
+  // resume of a finished campaign forks none. After the join, refresh()
+  // folds in what the workers appended.
+  CampaignStore store(options.store_dir, options.lease_ttl_seconds);
   CampaignResult campaign;
+  std::vector<std::size_t> spec_totals(specs.size(), 0);
+  std::vector<std::size_t> spec_unique(specs.size(), 0);
+  std::size_t missing = 0;
   {
     std::unordered_set<std::uint64_t> keys;
-    for (const CampaignSpec& spec : specs) {
-      collect_task_keys(spec.spec, keys);
+    for (std::size_t si = 0; si < specs.size(); ++si) {
+      const std::vector<Task> tasks = spec_tasks(specs[si].spec);
+      spec_totals[si] = tasks.size();
+      spec_unique[si] = distinct_keys(tasks);
+      for (const Task& task : tasks) {
+        if (!keys.insert(task.key).second) continue;
+        CachedPoint point;
+        double goodput = 0.0;
+        const bool done = task.baseline
+                              ? store.lookup_baseline(task.key, goodput)
+                              : store.lookup_point(task.key, point);
+        if (!done) ++missing;
+      }
     }
     campaign.unique_tasks = keys.size();
   }
-  std::vector<std::size_t> spec_totals(specs.size(), 0);
-  for (std::size_t si = 0; si < specs.size(); ++si) {
-    spec_totals[si] = spec_task_total(specs[si].spec);
-  }
+  const int workers = static_cast<int>(std::min<std::size_t>(
+      static_cast<std::size_t>(std::max(1, options.workers)), missing));
+  campaign.workers_forked = workers;
 
   // Fork the workers, each with a report pipe. Fork happens before this
-  // process creates any thread; each child builds its own ThreadPool.
+  // process creates any thread; each child builds its own ThreadPool and
+  // opens its own CampaignStore (its own file descriptions, so flock(2)
+  // excludes it from the parent and its siblings).
   std::vector<pid_t> pids;
   std::vector<int> report_fds;
   for (int w = 0; w < workers; ++w) {
@@ -172,8 +195,8 @@ CampaignResult run_campaign(const std::vector<CampaignSpec>& specs,
     report_fds.push_back(fds[0]);
   }
 
-  // Merged progress state: every worker walks every task of every spec, so
-  // a spec's campaign progress is its furthest worker.
+  // Merged progress state: every forked worker walks every task of every
+  // spec, so a spec's campaign progress is its furthest worker.
   std::vector<std::vector<std::size_t>> done(specs.size());
   std::vector<std::vector<std::size_t>> cached(specs.size());
   for (std::size_t si = 0; si < specs.size(); ++si) {
@@ -197,20 +220,14 @@ CampaignResult run_campaign(const std::vector<CampaignSpec>& specs,
       progress.cached += best_cached;
       progress.total += spec_totals[si];
     }
+    if (workers == 0) progress.done = progress.cached = progress.total;
     progress.elapsed_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
     options.on_progress(progress);
   };
-
-  std::unique_ptr<CampaignStore> store;  // parent's view, opened lazily
-  const auto ensure_store = [&]() -> CampaignStore& {
-    if (!store) {
-      store = std::make_unique<CampaignStore>(options.store_dir,
-                                              options.lease_ttl_seconds);
-    }
-    return *store;
-  };
+  // With nothing left to compute, report the all-hit grid once.
+  if (workers == 0) emit_progress(0);
 
   // Drain the report pipes until every worker closes its end.
   std::vector<std::string> buffers(static_cast<std::size_t>(workers));
@@ -271,11 +288,10 @@ CampaignResult run_campaign(const std::vector<CampaignSpec>& specs,
       if (std::chrono::duration<double>(now - last_partial).count() >=
           options.partial_interval_seconds) {
         last_partial = now;
-        CampaignStore& view = ensure_store();
-        view.refresh();
+        store.refresh();
         for (const CampaignSpec& spec : specs) {
           if (spec.csv_path.empty()) continue;
-          const SweepResult partial = replay_from_store(spec.spec, view);
+          const SweepResult partial = replay_from_store(spec.spec, store);
           std::ofstream out = open_output(spec.csv_path + ".partial");
           if (out.good()) partial.write_csv(out);
         }
@@ -295,17 +311,17 @@ CampaignResult run_campaign(const std::vector<CampaignSpec>& specs,
   // joined store. All-hit when the workers finished the grid (so the CSVs
   // are byte-identical to a single-process run); stragglers from crashed
   // workers get simulated right here.
-  CampaignStore& merged = ensure_store();
-  merged.refresh();
-  for (const CampaignSpec& spec : specs) {
+  store.refresh();
+  for (std::size_t si = 0; si < specs.size(); ++si) {
+    const CampaignSpec& spec = specs[si];
     CampaignSpecResult spec_result;
     SweepOptions sweep_options;
     sweep_options.threads = options.threads;
     sweep_options.cancel_on_failure = !options.keep_going;
-    sweep_options.store = &merged;
+    sweep_options.store = &store;
     sweep_options.claim_poll_seconds = options.claim_poll_seconds;
     spec_result.result = run_sweep(spec.spec, sweep_options);
-    spec_result.unique_tasks = count_unique_tasks(spec.spec);
+    spec_result.unique_tasks = spec_unique[si];
     campaign.final_simulated += spec_result.result.simulated;
     if (!spec.csv_path.empty()) {
       std::ofstream out = open_output(spec.csv_path);

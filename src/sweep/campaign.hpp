@@ -1,15 +1,18 @@
 // Multi-process campaign orchestration.
 //
-// A campaign is one or more submitted sweep specs executed by K cooperating
-// worker processes over one shared CampaignStore. `run_campaign` forks the
-// workers (each runs every spec through the ordinary `run_sweep` engine,
-// coordinating point-by-point via the store's claim protocol), streams
-// merged progress from their report pipes, and — after the workers join —
-// replays each spec from the store in-process to produce the final merged
-// tables. The replay is byte-identical to a single-process run of the same
-// spec: the result table is keyed by enumeration order and cached doubles
-// round-trip bit-exactly, so CSV bytes cannot depend on which worker
-// simulated which point.
+// A campaign is one or more submitted sweep specs executed by up to K
+// cooperating worker processes over one shared CampaignStore. `run_campaign`
+// opens the store in the parent first and counts the tasks that have no
+// result yet; it forks min(K, that count) workers, so resuming a finished
+// campaign forks none. Each forked worker runs every spec through the
+// ordinary `run_sweep` engine, coordinating point-by-point via the store's
+// claim protocol. The parent streams merged progress from their report
+// pipes and, after the workers join, replays each spec from the store
+// in-process to produce the final merged tables. The replay is
+// byte-identical to a single-process run of the same spec: the result
+// table is keyed by enumeration order and cached doubles round-trip
+// bit-exactly, so CSV bytes cannot depend on which worker simulated which
+// point.
 //
 // Cross-spec dedup costs nothing: keys are content hashes, so two specs
 // that share a sub-grid (or a spec resubmitted by another user) share the
@@ -41,10 +44,11 @@ struct CampaignSpec {
   std::string name;       // label for progress lines (e.g. file basename)
 };
 
-/// Merged progress across all workers and specs. Every worker walks every
-/// task of every spec (simulating the ones it claims, replaying the rest),
-/// so a spec's campaign-wide progress is the furthest worker's progress,
-/// summed over specs.
+/// Merged progress across all workers and specs. Every forked worker walks
+/// every task of every spec (simulating the ones it claims, replaying the
+/// rest), so a spec's campaign-wide progress is the furthest worker's
+/// progress, summed over specs. A campaign that forks no worker reports
+/// once, with every task done and cached.
 struct CampaignProgress {
   std::size_t done = 0;
   std::size_t total = 0;
@@ -87,14 +91,17 @@ struct CampaignResult {
   /// work; <= holds whenever claiming dedups correctly (CI asserts it).
   std::size_t worker_simulated = 0;
   std::size_t final_simulated = 0;  // stragglers simulated by the parent
+  /// Worker processes forked: min(CampaignOptions::workers, tasks without
+  /// a result when the campaign started), so 0 for an all-hit resume.
+  int workers_forked = 0;
   int worker_failures = 0;  // workers that exited nonzero or crashed
   double wall_seconds = 0.0;
 
   bool ok() const;
 };
 
-/// Fork `options.workers` processes over `specs`, join them, and replay the
-/// merged results. Must be called from a process that can fork safely
+/// Fork up to `options.workers` processes over `specs` (no more than there
+/// are tasks without a result), join them, and replay the merged results. Must be called from a process that can fork safely
 /// (i.e. before the caller spawns its own threads).
 CampaignResult run_campaign(const std::vector<CampaignSpec>& specs,
                             const CampaignOptions& options);

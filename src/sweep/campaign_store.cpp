@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <charconv>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -37,8 +38,7 @@ std::uint64_t make_owner_token() {
 
 // Result records: one line each, %.17g doubles for bit-exact reload (so a
 // replayed CSV is byte-identical to a fresh run). The returned lines include
-// the trailing newline; the parsers take the text after the "P " / "B " tag
-// and return false on a malformed (e.g. torn) line.
+// the trailing newline.
 std::string format_point_record(std::uint64_t key, const CachedPoint& v) {
   char buf[640];
   std::snprintf(
@@ -59,23 +59,70 @@ std::string format_baseline_record(std::uint64_t key, double goodput) {
   return buf;
 }
 
-bool parse_point_record(const char* text, std::uint64_t& key, CachedPoint& v) {
-  int shrew = 0;
-  const int n = std::sscanf(
-      text,
-      "%" SCNx64 " %lg %lg %lg %d %lg %lg %lg %lg %lg %lg %" SCNu64
-      " %" SCNu64 " %" SCNu64 " %" SCNu64,
-      &key, &v.c_psi, &v.analytic_degradation, &v.analytic_gain, &shrew,
-      &v.baseline_goodput, &v.goodput, &v.measured_degradation,
-      &v.measured_gain, &v.utilization, &v.fairness, &v.timeouts,
-      &v.fast_recoveries, &v.attack_packets, &v.events);
-  v.shrew = shrew != 0;
-  return n == 15;
-}
+/// Strict reader of one record's fields: the text after its tag ("P ",
+/// "B ", …) up to (not including) the newline. Fields are separated by one
+/// space, each must parse in full, and `done()` holds only when every
+/// field parsed and nothing follows the last one. So a line torn inside a
+/// field, or ended by the '#' a torn-tail repair appends, never loads as a
+/// shorter value.
+class Fields {
+ public:
+  Fields(const char* begin, const char* end)
+      : begin_(begin), at_(begin), end_(end) {}
 
-bool parse_baseline_record(const char* text, std::uint64_t& key,
-                           double& goodput) {
-  return std::sscanf(text, "%" SCNx64 " %lg", &key, &goodput) == 2;
+  Fields& hex(std::uint64_t& value) {
+    if (separate()) take(std::from_chars(at_, end_, value, 16));
+    return *this;
+  }
+
+  /// A double (the %.17g text) or a base-10 integer.
+  template <typename T>
+  Fields& num(T& value) {
+    if (separate()) take(std::from_chars(at_, end_, value));
+    return *this;
+  }
+
+  bool done() const { return ok_ && at_ == end_; }
+
+ private:
+  /// Step over the one space before every field but the first.
+  bool separate() {
+    if (!ok_ || at_ == begin_) return ok_;
+    ok_ = at_ != end_ && *at_ == ' ';
+    if (ok_) ++at_;
+    return ok_;
+  }
+
+  void take(std::from_chars_result r) {
+    ok_ = r.ec == std::errc();
+    at_ = r.ptr;
+  }
+
+  const char* begin_;
+  const char* at_;
+  const char* end_;
+  bool ok_ = true;
+};
+
+bool parse_point_record(Fields f, std::uint64_t& key, CachedPoint& v) {
+  int shrew = 0;
+  f.hex(key)
+      .num(v.c_psi)
+      .num(v.analytic_degradation)
+      .num(v.analytic_gain)
+      .num(shrew)
+      .num(v.baseline_goodput)
+      .num(v.goodput)
+      .num(v.measured_degradation)
+      .num(v.measured_gain)
+      .num(v.utilization)
+      .num(v.fairness)
+      .num(v.timeouts)
+      .num(v.fast_recoveries)
+      .num(v.attack_packets)
+      .num(v.events);
+  v.shrew = shrew != 0;
+  return f.done();
 }
 
 std::string format_lease(std::uint64_t key, std::uint64_t owner,
@@ -140,11 +187,12 @@ bool CampaignStore::ensure_open(Segment& seg) {
 
 void CampaignStore::apply_line(const char* line, std::size_t len) {
   if (len < 2 || line[1] != ' ') return;
+  const Fields fields(line + 2, line + len);
   std::uint64_t key = 0;
   switch (line[0]) {
     case 'P': {
       CachedPoint value;
-      if (parse_point_record(line + 2, key, value)) {
+      if (parse_point_record(fields, key, value)) {
         points_[key] = value;
         leases_.erase(key);  // result supersedes any claim
       }
@@ -152,7 +200,7 @@ void CampaignStore::apply_line(const char* line, std::size_t len) {
     }
     case 'B': {
       double goodput = 0.0;
-      if (parse_baseline_record(line + 2, key, goodput)) {
+      if (Fields(fields).hex(key).num(goodput).done()) {
         baselines_[key] = goodput;
         leases_.erase(key);
       }
@@ -161,8 +209,7 @@ void CampaignStore::apply_line(const char* line, std::size_t len) {
     case 'L': {
       std::uint64_t owner = 0;
       double expiry = 0.0;
-      if (std::sscanf(line + 2, "%" SCNx64 " %" SCNx64 " %lg", &key, &owner,
-                      &expiry) == 3) {
+      if (Fields(fields).hex(key).hex(owner).num(expiry).done()) {
         // Last lease wins: a re-claim after expiry replaces the dead one.
         // Never shadow a result that already landed.
         if (points_.find(key) == points_.end() &&
@@ -174,7 +221,7 @@ void CampaignStore::apply_line(const char* line, std::size_t len) {
     }
     case 'R': {
       std::uint64_t owner = 0;
-      if (std::sscanf(line + 2, "%" SCNx64 " %" SCNx64, &key, &owner) == 2) {
+      if (Fields(fields).hex(key).hex(owner).done()) {
         const auto it = leases_.find(key);
         if (it != leases_.end() && it->second.owner == owner) {
           leases_.erase(it);
@@ -251,12 +298,14 @@ void CampaignStore::append_locked(Segment& seg, const std::string& line) {
     seg.header_ok = true;
   } else {
     // Torn-tail repair: a worker killed mid-write left a partial final
-    // line. Terminate it so our record starts on a fresh line — the torn
-    // fragment becomes one malformed line that loaders skip, instead of
-    // swallowing the next valid record.
+    // line. Terminate it with "#\n" so our record starts on a fresh line
+    // and the fragment becomes one malformed line that loaders skip. The
+    // '#' matters: no record ends with it, so a line torn inside its last
+    // number (`B <key> 1409546` of `14095466.666666666`) cannot load as a
+    // shorter, wrong value.
     char last = '\n';
     if (::pread(seg.fd, &last, 1, st.st_size - 1) == 1 && last != '\n') {
-      out.assign(1, '\n');
+      out = "#\n";
     }
   }
   out += line;

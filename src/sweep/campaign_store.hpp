@@ -36,11 +36,14 @@
 // recovery needs no fsck pass.
 //
 // Torn-tail tolerance: a worker killed mid-write leaves a partial final
-// line. Loaders skip lines that fail to parse and unknown record kinds, a
-// segment with a foreign header loads as empty and is truncated on its
-// first append, and every appender checks (under the lock) whether the
-// segment ends in '\n' and prepends one if not, so a torn tail corrupts at
-// most itself — never the next record.
+// line. Loaders read each record strictly (every field parses in full, one
+// space apart, and nothing follows the last) and skip lines that fail and
+// unknown record kinds; a segment with a foreign header loads as empty and
+// is truncated on its first append. Every appender checks (under the lock)
+// whether the segment ends in '\n' and, if not, terminates the fragment
+// with "#\n". No record ends in '#', so a line torn inside its last number
+// never loads as a shorter value, and a torn tail corrupts at most itself —
+// never the next record.
 //
 // An in-memory index (maps keyed by the content hash) answers lookups
 // without I/O; `refresh()` incrementally folds in segment bytes appended

@@ -1,5 +1,6 @@
 #include "sweep/spec.hpp"
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -51,6 +52,9 @@ double parse_double(const std::string& what, const std::string& value) {
   const double parsed = std::strtod(value.c_str(), &end);
   PDOS_REQUIRE(end != value.c_str() && *end == '\0',
                what + ": not a number: '" + value + "'");
+  // strtod reads "inf" and "nan": `measure_s = inf` would run forever.
+  PDOS_REQUIRE(std::isfinite(parsed),
+               what + ": not a finite number: '" + value + "'");
   return parsed;
 }
 

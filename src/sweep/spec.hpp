@@ -30,6 +30,8 @@
 // as `cache`, whose single-file store is gone). Integer keys (flows,
 // replicates, gamma_points, threads, hybrid_foreground, base_seed) take
 // exact base-10 integers: `4.7` or an out-of-range value is an error.
+// The other numeric keys take finite numbers: `measure_s = inf` and
+// `kappa = nan` are errors, not unbounded or undefined runs.
 // The whole spec is validated at parse time (SweepSpec::validate), so an
 // incompatible combination such as `backend = hybrid` with
 // `queue = droptail` fails here, naming the field, before anything runs.
@@ -57,7 +59,8 @@ struct SpecFile {
 };
 
 /// Exact numeric parsing, shared by the spec keys and the CLI flags. The
-/// whole of `value` must parse; `what` names the field in the ParameterError
+/// whole of `value` must parse, and to a finite number (`inf` and `nan`
+/// are errors); `what` names the field in the ParameterError
 /// ("spec line 3: replicates", "--workers").
 double parse_double(const std::string& what, const std::string& value);
 

@@ -1,6 +1,7 @@
-// CampaignStore: sharded persistence round-trips, torn-tail recovery,
-// concurrent cross-process appends, the lease claim protocol, incremental
-// refresh between live stores, compaction, and foreign-file tolerance.
+// CampaignStore: sharded persistence round-trips, the record codec,
+// torn-tail recovery, concurrent cross-process appends, the lease claim
+// protocol, incremental refresh between live stores, compaction, and
+// foreign-file tolerance.
 #include "sweep/campaign_store.hpp"
 
 #include <gtest/gtest.h>
@@ -9,9 +10,15 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cfloat>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <thread>
 
@@ -113,6 +120,163 @@ TEST(CampaignStoreTest, TornTailIsSkippedAndRepairedOnAppend) {
   ASSERT_TRUE(reloaded.lookup_point(key_in_segment(0x3, 8), out));
   EXPECT_EQ(out.goodput, sample_point(1.0).goodput);
   EXPECT_EQ(reloaded.size(), 2u);
+}
+
+/// Bit pattern of a double: -0.0 and 0.0 differ, as do NaN payloads.
+std::uint64_t bits(double value) {
+  std::uint64_t out = 0;
+  std::memcpy(&out, &value, sizeof(out));
+  return out;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+/// Cut `bytes` bytes off the end of the file at `path`.
+void chop(const std::string& path, std::uintmax_t bytes) {
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - bytes);
+}
+
+TEST(CampaignStoreTest, ExtremeValuesRoundTripBitExact) {
+  TempDir dir;
+  const double values[] = {std::numeric_limits<double>::denorm_min(),
+                           DBL_MIN / 3.0,  // subnormal
+                           DBL_MAX,
+                           -0.0,
+                           0.1,
+                           1.0 / 3};
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const auto point_of = [&](double v) {
+    CachedPoint p;
+    p.c_psi = p.analytic_degradation = p.analytic_gain = v;
+    p.baseline_goodput = p.goodput = p.measured_degradation = v;
+    p.measured_gain = p.utilization = p.fairness = v;
+    p.timeouts = p.fast_recoveries = p.attack_packets = p.events = kMax;
+    return p;
+  };
+  {
+    CampaignStore store(dir.path());
+    for (unsigned i = 0; i < std::size(values); ++i) {
+      store.store_point(key_in_segment(i, 1), point_of(values[i]));
+      store.store_baseline(key_in_segment(i, 2), values[i]);
+    }
+  }
+  CampaignStore reloaded(dir.path());
+  for (unsigned i = 0; i < std::size(values); ++i) {
+    SCOPED_TRACE(values[i]);
+    CachedPoint out;
+    ASSERT_TRUE(reloaded.lookup_point(key_in_segment(i, 1), out));
+    for (double field : {out.c_psi, out.analytic_degradation,
+                         out.analytic_gain, out.baseline_goodput, out.goodput,
+                         out.measured_degradation, out.measured_gain,
+                         out.utilization, out.fairness}) {
+      EXPECT_EQ(bits(field), bits(values[i]));
+    }
+    EXPECT_EQ(out.timeouts, kMax);
+    EXPECT_EQ(out.fast_recoveries, kMax);
+    EXPECT_EQ(out.attack_packets, kMax);
+    EXPECT_EQ(out.events, kMax);
+    double goodput = 1.0;
+    ASSERT_TRUE(reloaded.lookup_baseline(key_in_segment(i, 2), goodput));
+    EXPECT_EQ(bits(goodput), bits(values[i]));
+  }
+}
+
+// Records in the %.17g layout stores have always been written in: they
+// must keep loading, and new appends must write the same bytes.
+TEST(CampaignStoreTest, ReadsAndWritesThePrintfLayout) {
+  TempDir dir;
+  const std::uint64_t point_key = key_in_segment(0x3, 9);
+  const std::uint64_t baseline_key = key_in_segment(0x3, 10);
+  const std::string records =
+      "P 3000000000000009 0.12345678901234568 0.25 0.5 1 14095466.666666666 "
+      "7047733.333333333 0.5 0.25 0.46999999999999997 0.93000000000000005 "
+      "321 12 98765 1234567890123\n"
+      "B 300000000000000a 14095466.666666666\n";
+  std::string seg_path;
+  {
+    CampaignStore probe(dir.sub("old"));
+    seg_path = probe.segment_path(point_key);
+  }
+  std::ofstream(seg_path) << "pdos-campaign-seg-v1\n" << records;
+
+  CampaignStore store(dir.sub("old"));
+  CachedPoint out;
+  ASSERT_TRUE(store.lookup_point(point_key, out));
+  const CachedPoint expected = sample_point();
+  EXPECT_EQ(out.c_psi, expected.c_psi);
+  EXPECT_EQ(out.analytic_degradation, expected.analytic_degradation);
+  EXPECT_EQ(out.analytic_gain, expected.analytic_gain);
+  EXPECT_EQ(out.shrew, expected.shrew);
+  EXPECT_EQ(out.baseline_goodput, expected.baseline_goodput);
+  EXPECT_EQ(out.goodput, expected.goodput);
+  EXPECT_EQ(out.measured_degradation, expected.measured_degradation);
+  EXPECT_EQ(out.measured_gain, expected.measured_gain);
+  EXPECT_EQ(out.utilization, expected.utilization);
+  EXPECT_EQ(out.fairness, expected.fairness);
+  EXPECT_EQ(out.timeouts, expected.timeouts);
+  EXPECT_EQ(out.fast_recoveries, expected.fast_recoveries);
+  EXPECT_EQ(out.attack_packets, expected.attack_packets);
+  EXPECT_EQ(out.events, expected.events);
+  double goodput = 0.0;
+  ASSERT_TRUE(store.lookup_baseline(baseline_key, goodput));
+  EXPECT_EQ(goodput, 14095466.666666666);
+
+  CampaignStore fresh(dir.sub("new"));
+  fresh.store_point(point_key, expected);
+  fresh.store_baseline(baseline_key, 14095466.666666666);
+  EXPECT_EQ(slurp(fresh.segment_path(point_key)),
+            "pdos-campaign-seg-v1\n" + records);
+}
+
+// A record torn inside its last number is a shorter, valid-looking number.
+// The next append's tail repair must not turn it into a loadable line.
+TEST(CampaignStoreTest, TornLastFieldIsNeverLoaded) {
+  TempDir dir;
+  const std::uint64_t b_intact = key_in_segment(0x3, 1);
+  const std::uint64_t b_torn = key_in_segment(0x3, 2);
+  const std::uint64_t b_after = key_in_segment(0x3, 3);
+  const std::uint64_t p_intact = key_in_segment(0x5, 1);
+  const std::uint64_t p_torn = key_in_segment(0x5, 2);
+  const std::uint64_t p_after = key_in_segment(0x5, 3);
+  std::string b_path;
+  std::string p_path;
+  {
+    CampaignStore store(dir.path());
+    store.store_baseline(b_intact, 1.0e7);
+    store.store_baseline(b_torn, 14095466.666666666);
+    store.store_point(p_intact, sample_point());
+    store.store_point(p_torn, sample_point(1.0));
+    b_path = store.segment_path(b_torn);
+    p_path = store.segment_path(p_torn);
+  }
+  // Killed mid-write: "B <key> 1409546" and "P <key> ... 1234567890".
+  chop(b_path, std::strlen("6.666666666\n"));
+  chop(p_path, std::strlen("123\n"));
+  {
+    // Appending to each segment repairs its torn tail.
+    CampaignStore store(dir.path());
+    store.store_baseline(b_after, 2.0e7);
+    store.store_point(p_after, sample_point(2.0));
+  }
+  CampaignStore reloaded(dir.path());
+  double goodput = 0.0;
+  CachedPoint out;
+  EXPECT_FALSE(reloaded.lookup_baseline(b_torn, goodput)) << goodput;
+  EXPECT_FALSE(reloaded.lookup_point(p_torn, out)) << out.events;
+  ASSERT_TRUE(reloaded.lookup_baseline(b_intact, goodput));
+  EXPECT_EQ(goodput, 1.0e7);
+  ASSERT_TRUE(reloaded.lookup_baseline(b_after, goodput));
+  EXPECT_EQ(goodput, 2.0e7);
+  ASSERT_TRUE(reloaded.lookup_point(p_intact, out));
+  EXPECT_EQ(out.events, sample_point().events);
+  ASSERT_TRUE(reloaded.lookup_point(p_after, out));
+  EXPECT_EQ(out.goodput, sample_point(2.0).goodput);
+  EXPECT_EQ(reloaded.size(), 4u);
 }
 
 TEST(CampaignStoreTest, ConcurrentForkAppendsAllSurvive) {

@@ -1,6 +1,7 @@
 // Campaign orchestration: cross-process dedup through the shared store,
-// the no-duplicated-work invariant of run_campaign, byte-identical merged
-// CSVs across campaigns, and lookup-only replay.
+// the no-duplicated-work invariant of run_campaign, forking only for tasks
+// the store lacks, byte-identical merged CSVs across campaigns, and
+// lookup-only replay.
 #include "sweep/campaign.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "sweep/campaign_store.hpp"
 #include "temp_dir.hpp"
@@ -115,6 +117,69 @@ TEST(CampaignTest, ColdCampaignNeverDuplicatesWork) {
   EXPECT_EQ(warm.worker_simulated, 0u);
   EXPECT_EQ(warm.final_simulated, 0u);
   EXPECT_EQ(slurp(again.csv_path), cold_csv);
+}
+
+TEST(CampaignTest, AllHitResumeForksNoWorkers) {
+  TempDir dir;
+  CampaignSpec spec;
+  spec.spec = tiny_spec();
+  spec.csv_path = dir.sub("cold.csv");
+  CampaignOptions options;
+  options.store_dir = dir.sub("store.d");
+  options.workers = 2;
+  options.threads = 1;
+  options.claim_poll_seconds = 0.01;
+  const CampaignResult cold = run_campaign({spec}, options);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ(cold.workers_forked, 2);
+
+  // Nothing is left to compute: the parent answers every task from the
+  // store it opened, without a fork, and reports the grid done once.
+  CampaignSpec again = spec;
+  again.csv_path = dir.sub("resume.csv");
+  std::vector<CampaignProgress> reports;
+  options.on_progress = [&](const CampaignProgress& p) {
+    reports.push_back(p);
+  };
+  const CampaignResult resume = run_campaign({again}, options);
+  EXPECT_TRUE(resume.ok());
+  EXPECT_EQ(resume.workers_forked, 0);
+  EXPECT_EQ(resume.worker_simulated + resume.final_simulated, 0u);
+  EXPECT_EQ(resume.unique_tasks, cold.unique_tasks);
+  EXPECT_EQ(resume.specs.at(0).unique_tasks, count_unique_tasks(spec.spec));
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].done, reports[0].total);
+  EXPECT_EQ(reports[0].cached, reports[0].total);
+  EXPECT_EQ(reports[0].workers_alive, 0);
+  EXPECT_EQ(slurp(again.csv_path), slurp(spec.csv_path));
+}
+
+TEST(CampaignTest, WorkersNeverExceedMissingTasks) {
+  TempDir dir;
+  CampaignSpec spec;
+  spec.spec = tiny_spec();
+  spec.spec.replicates = 1;
+  spec.spec.gammas = {0.2, 0.4};
+  CampaignOptions options;
+  options.store_dir = dir.sub("store.d");
+  options.workers = 2;
+  options.threads = 1;
+  options.claim_poll_seconds = 0.01;
+  ASSERT_TRUE(run_campaign({spec}, options).ok());
+
+  // One more gamma is one more point (its baseline is shared): one task
+  // is missing, so one worker is forked however many are allowed.
+  spec.spec.gammas = {0.2, 0.4, 0.6};
+  spec.csv_path = dir.sub("grown.csv");
+  options.workers = 4;
+  const CampaignResult grown = run_campaign({spec}, options);
+  EXPECT_TRUE(grown.ok());
+  EXPECT_EQ(grown.workers_forked, 1);
+  EXPECT_EQ(grown.worker_simulated + grown.final_simulated, 1u);
+
+  SweepOptions in_process;
+  in_process.threads = 1;
+  EXPECT_EQ(slurp(spec.csv_path), csv_of(run_sweep(spec.spec, in_process)));
 }
 
 TEST(CampaignTest, OverlappingSpecsShareTheStore) {

@@ -418,6 +418,28 @@ TEST(SpecParser, RejectsUnknownKeysAndGarbage) {
   }
 }
 
+// strtod reads "inf" and "nan"; a spec number must be finite, or
+// `measure_s = inf` runs forever. The message names the key.
+TEST(SpecParser, RejectsNonFiniteNumbers) {
+  for (const char* key : {"kappa", "warmup_s", "measure_s", "textent_ms",
+                          "rattack_mbps", "gamma"}) {
+    for (const char* value : {"inf", "-inf", "infinity", "INF", "nan",
+                              "-nan", "NAN(1)"}) {
+      SCOPED_TRACE(std::string(key) + " = " + value);
+      try {
+        parse_spec(std::string(key) + " = " + value + "\n");
+        ADD_FAILURE() << "parsed";
+      } catch (const ParameterError& e) {
+        EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  EXPECT_THROW(parse_spec("gamma = 0.2, inf\n"), ParameterError);
+  EXPECT_THROW(parse_double("--lease-ttl", "inf"), ParameterError);
+  EXPECT_EQ(parse_double("--lease-ttl", "1e300"), 1e300);
+}
+
 TEST(RunSweep, FluidBackendProducesComparableDegradation) {
   SweepSpec spec;
   spec.flow_counts = {15};

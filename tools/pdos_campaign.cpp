@@ -6,10 +6,12 @@
 //                 [--csv-dir DIR] [--lease-ttl S] [--partial-interval S]
 //                 [--keep-going] [--assert-no-dup] [--compact] [--quiet]
 //
-// Each worker process runs every spec through the ordinary sweep engine;
-// the store's claim protocol partitions the cold grid among them with
-// near-zero duplicated simulation, and every completed point is a hit for
-// all workers, all specs that share its sub-grid, and every later
+// The parent opens the store and forks one worker per task the store has
+// no result for, up to --workers, so resuming a finished campaign forks
+// none. Each worker process runs every spec through the ordinary sweep
+// engine; the store's claim protocol partitions the cold grid among them
+// with near-zero duplicated simulation, and every completed point is a hit
+// for all workers, all specs that share its sub-grid, and every later
 // campaign. After the workers join, the parent replays each spec from the
 // store and writes merged CSV/JSON tables byte-identical to a
 // single-process run.
@@ -18,7 +20,8 @@
 //                        .pdos-cache/campaign, which `pdos_sweep --resume`
 //                        shares; spec `store =` overrides the default, the
 //                        flag overrides the spec)
-//   --workers K          worker processes (default 2, at least 1)
+//   --workers K          at most K worker processes (default 2, at least
+//                        1); never more than the tasks left to simulate
 //   --threads N          threads per worker (default 0: all hardware threads)
 //   --csv-dir DIR        write each spec's merged CSV to DIR/<spec-stem>.csv
 //                        (overrides the spec's `csv =`)
@@ -149,7 +152,8 @@ int main(int argc, char** argv) {
                    p.elapsed_seconds);
       if (p.done == p.total) std::fprintf(stderr, "\n");
     };
-    std::fprintf(stderr, "pdos_campaign: %zu spec(s), %d workers, store %s\n",
+    std::fprintf(stderr,
+                 "pdos_campaign: %zu spec(s), up to %d workers, store %s\n",
                  specs.size(), options.workers,
                  options.store_dir.c_str());
   }
@@ -178,11 +182,12 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr,
                  "pdos_campaign: %zu unique tasks, %zu simulated "
-                 "(%zu by workers, %zu in merge), %d worker failure(s), "
-                 "%.2fs wall\n",
+                 "(%zu by workers, %zu in merge), %d workers forked, "
+                 "%d worker failure(s), %.2fs wall\n",
                  result.unique_tasks, total_simulated,
                  result.worker_simulated, result.final_simulated,
-                 result.worker_failures, result.wall_seconds);
+                 result.workers_forked, result.worker_failures,
+                 result.wall_seconds);
   }
 
   if (compact) {
