@@ -87,7 +87,18 @@ void SweepSpec::validate() const {
     flows.clear();
     for (const PointSpec& point : explicit_points) flows.push_back(point.flows);
   }
-  PDOS_REQUIRE(control.measure > 0.0, "SweepSpec: measure window must be > 0");
+  PDOS_REQUIRE(control.warmup >= 0.0, "SweepSpec: warmup_s must be >= 0");
+  PDOS_REQUIRE(control.measure > 0.0, "SweepSpec: measure_s must be > 0");
+  PDOS_REQUIRE(control.bin_width > 0.0, "SweepSpec: bin_width must be > 0");
+  const double bins = control.horizon() / control.bin_width;
+  if (bins > kMaxSeriesBins) {
+    char what[200];
+    std::snprintf(what, sizeof(what),
+                  "SweepSpec: warmup_s + measure_s = %g s needs %.3g series "
+                  "bins of %g s; the limit is %.0f bins",
+                  control.horizon(), bins, control.bin_width, kMaxSeriesBins);
+    throw ParameterError(what);
+  }
   // Every point of one flow count shares a scenario up to its seed, so one
   // probe per flow count rejects a combination no point could run (hybrid
   // with droptail, hybrid_foreground >= flows, ...) before any work starts.
@@ -383,8 +394,8 @@ class WorkspacePool {
   std::vector<std::unique_ptr<ScenarioWorkspace>> idle_;
 };
 
-/// A contiguous run of result rows: one point's replicates, or a flows
-/// block.
+/// A contiguous run of result rows (or baselines): one point's replicates,
+/// or one fluid task of up to kFluidBatchWidth unique attack plans.
 struct TaskGroup {
   std::size_t first = 0;
   std::size_t count = 0;
@@ -413,30 +424,43 @@ std::vector<TaskGroup> group_consecutive(std::size_t n, GetSpec&& spec_of) {
   return groups;
 }
 
-/// Group consecutive entries sharing a flows value. On the fluid tier all
-/// points with the same flows share one topology (make_scenario varies only
-/// in the seed, which the fluid solver never reads), so each group is one
-/// lane-batched solve_batch workload (DESIGN.md §16). `enumerate()` emits
-/// flows as the outermost axis, so these groups cover whole flows blocks.
+/// Lanes per fluid solve_batch call, and so the unique attack plans per
+/// fluid task: two full SIMD chunks, wide enough to amortize the per-step
+/// scalar driver, small enough that a ragged tail wastes little work and
+/// that a grid cuts into many tasks for the pool. Not a result knob:
+/// batched lanes are bit-identical to single-point solves at any width.
+constexpr std::size_t kFluidBatchWidth = 8;
+
+/// Cut the fluid tier's entries into tasks: consecutive entries of one
+/// flows block, at most kFluidBatchWidth unique attack plans per task,
+/// a plan's entries (a point's replicates) never split. Every point of a
+/// flows block shares one topology (make_scenario varies only in the seed,
+/// which the fluid solver never reads), so each task is one solve_batch
+/// call (DESIGN.md §14). A flows block's baselines are all the no-attack
+/// plan, so they stay one task.
 template <typename GetSpec>
-std::vector<TaskGroup> group_by_flows(std::size_t n, GetSpec&& spec_of) {
+std::vector<TaskGroup> group_plan_chunks(std::size_t n, bool baselines,
+                                         GetSpec&& spec_of) {
   std::vector<TaskGroup> groups;
+  std::size_t plans = 0;  // unique plans in groups.back()
   for (std::size_t i = 0; i < n; ++i) {
-    if (!groups.empty() &&
-        spec_of(groups.back().first).flows == spec_of(i).flows) {
-      ++groups.back().count;
-      continue;
+    if (!groups.empty()) {
+      TaskGroup& last = groups.back();
+      const PointSpec& prev = spec_of(last.first + last.count - 1);
+      const PointSpec& point = spec_of(i);
+      const bool new_plan = !baselines && !same_point_axes(prev, point);
+      if (prev.flows == point.flows &&
+          (!new_plan || plans < kFluidBatchWidth)) {
+        ++last.count;
+        if (new_plan) ++plans;
+        continue;
+      }
     }
     groups.push_back(TaskGroup{i, 1});
+    plans = 1;
   }
   return groups;
 }
-
-/// Lanes per fluid solve_batch call in the fluid-tier point path: two
-/// full SIMD chunks — wide enough to amortize the per-step scalar driver,
-/// small enough that a ragged tail wastes little work. Not a result knob:
-/// batched lanes are bit-identical to single-point solves at any width.
-constexpr std::size_t kFluidBatchWidth = 8;
 
 CachedPoint to_cached_point(const PointResult& slot) {
   CachedPoint record;
@@ -508,7 +532,9 @@ enum class Resolution { kHit, kDeferred, kMiss };
 ///   - finish:  store + tick on success, or release + error + tick.
 /// A miss is computed in one of two ways: one warm ScenarioWorkspace run
 /// (`compute`; every packet or hybrid task, and every drained task), or as
-/// a lane of a fluid flows group's batched solve (`run_fluid_group`).
+/// a lane of a fluid plan chunk's batched solve (`run_fluid_group`). The
+/// pool's unit of work is one task on the packet and hybrid tiers, and one
+/// plan chunk (`group_plan_chunks`) on the fluid tier.
 /// Without a store every task resolves as a miss.
 class SweepRun {
  public:
@@ -533,8 +559,8 @@ class SweepRun {
     const std::size_t n =
         baselines ? baselines_.size() : result_.points.size();
     if (spec_.backend == Backend::kFluid) {
-      const std::vector<TaskGroup> groups = group_by_flows(
-          n, [&](std::size_t i) -> const PointSpec& {
+      const std::vector<TaskGroup> groups = group_plan_chunks(
+          n, baselines, [&](std::size_t i) -> const PointSpec& {
             return point_of(Task{baselines, i});
           });
       parallel_for(pool, groups.size(), [&](std::size_t g) {
@@ -549,6 +575,8 @@ class SweepRun {
 
  private:
   using ClaimStatus = PointStore::ClaimStatus;
+
+  static constexpr std::size_t kNoPlan = static_cast<std::size_t>(-1);
 
   /// Resolve one task and compute a miss with one warm workspace run.
   void run_task(Task task) {
@@ -565,18 +593,20 @@ class SweepRun {
     }
   }
 
-  /// The fluid-tier baselines or points of one flows group (DESIGN.md §14).
-  /// The group shares one topology and the fluid solver never reads the
+  /// The fluid-tier baselines or points of one plan chunk (DESIGN.md §14).
+  /// The chunk shares one topology and the fluid solver never reads the
   /// seed, so the misses collapse to their unique attack plans (one
-  /// no-attack lane for baselines), each solved once, kFluidBatchWidth
-  /// lanes at a time, and every task is finished from its plan's run.
-  /// Bit-identical to computing each miss alone: solve_batch is
-  /// bit-identical per lane to a single solve.
+  /// no-attack lane for baselines), all solved in one run_fluid_batch
+  /// call, and every task is finished from its plan's run. A point whose
+  /// planner throws fails only its own rows. Bit-identical to computing
+  /// each miss alone: solve_batch is bit-identical per lane to a single
+  /// solve.
   void run_fluid_group(bool baselines, const TaskGroup& group) {
     struct Miss {
       Task task;
       std::uint64_t key = 0;
       bool claimed = false;
+      std::size_t plan = kNoPlan;  // index into `plans`
     };
     std::vector<Miss> misses;
     for (std::size_t i = group.first; i < group.first + group.count; ++i) {
@@ -596,50 +626,57 @@ class SweepRun {
     }
     if (misses.empty()) return;
 
-    ScenarioConfig scenario;
+    // The chunk's derived scenarios differ only in their (unread) seed.
+    const ScenarioConfig scenario =
+        spec_.make_scenario(point_of(misses.front().task));
+    // Unique plans among the misses, each planned on its own: axes-equal
+    // points (a point's replicates) stay adjacent, so one backward
+    // comparison suffices. A plan that throws fails its point's misses.
     std::vector<std::optional<AttackPlan>> plans;  // nullopt: no attack
-    std::vector<std::size_t> plan_of(misses.size());
-    std::vector<RunResult> runs;
-    try {
-      // The group's derived scenarios differ only in their (unread) seed.
-      scenario = spec_.make_scenario(point_of(misses.front().task));
-      // Unique plans among the misses: axes-equal points (a point's
-      // replicates) stay adjacent, so one backward comparison suffices.
-      for (std::size_t k = 0; k < misses.size(); ++k) {
-        const PointSpec& point = point_of(misses[k].task);
-        if (k == 0 ||
-            (!baselines &&
-             !same_point_axes(point, point_of(misses[k - 1].task)))) {
+    std::optional<std::string> plan_error;  // set: this point's plan threw
+    for (std::size_t k = 0; k < misses.size(); ++k) {
+      Miss& miss = misses[k];
+      const PointSpec& point = point_of(miss.task);
+      if (k == 0 || (!baselines &&
+                     !same_point_axes(point, point_of(misses[k - 1].task)))) {
+        plan_error.reset();
+        try {
           plans.push_back(baselines ? std::nullopt
                                     : std::optional<AttackPlan>(
                                           plan_point_attack(scenario, point)));
-        }
-        plan_of[k] = plans.size() - 1;
-      }
-      for (std::size_t first = 0; first < plans.size();
-           first += kFluidBatchWidth) {
-        const std::size_t stop =
-            std::min(plans.size(), first + kFluidBatchWidth);
-        std::vector<std::optional<PulseTrain>> attacks;
-        for (std::size_t p = first; p < stop; ++p) {
-          attacks.push_back(plans[p] ? std::optional<PulseTrain>(
-                                           plans[p]->train)
-                                     : std::nullopt);
-        }
-        for (RunResult& run :
-             run_fluid_batch(scenario, attacks, spec_.control)) {
-          runs.push_back(std::move(run));
+        } catch (const std::exception& e) {
+          plan_error = e.what();
         }
       }
+      if (plan_error) {
+        fail(miss.task, miss.key, miss.claimed, *plan_error);
+        continue;
+      }
+      miss.plan = plans.size() - 1;
+    }
+    if (plans.empty()) return;
+    PDOS_CHECK_MSG(plans.size() <= kFluidBatchWidth,
+                   "run_fluid_group: a task holds more plans than one batch");
+
+    std::vector<RunResult> runs;
+    try {
+      std::vector<std::optional<PulseTrain>> attacks;
+      for (const std::optional<AttackPlan>& plan : plans) {
+        attacks.push_back(plan ? std::optional<PulseTrain>(plan->train)
+                               : std::nullopt);
+      }
+      runs = run_fluid_batch(scenario, attacks, spec_.control);
     } catch (const std::exception& e) {
       for (const Miss& miss : misses) {
-        fail(miss.task, miss.key, miss.claimed, e.what());
+        if (miss.plan != kNoPlan) {
+          fail(miss.task, miss.key, miss.claimed, e.what());
+        }
       }
       return;
     }
-    for (std::size_t k = 0; k < misses.size(); ++k) {
-      const Miss& miss = misses[k];
-      const RunResult& run = runs[plan_of[k]];
+    for (const Miss& miss : misses) {
+      if (miss.plan == kNoPlan) continue;
+      const RunResult& run = runs[miss.plan];
       try {
         if (baselines) {
           BaselineSlot& slot = baselines_[miss.task.slot];
@@ -648,7 +685,7 @@ class SweepRun {
         } else {
           PointResult& row = result_.points[miss.task.slot];
           const BitRate baseline = baseline_for(row.point);
-          const AttackPlan& plan = *plans[plan_of[k]];
+          const AttackPlan& plan = *plans[miss.plan];
           fill_plan(row, plan);
           fill_measured(row,
                         finish_gain(scenario, plan.train, row.point.kappa,

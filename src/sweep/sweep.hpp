@@ -44,6 +44,13 @@ struct PointSpec {
   int replicate = 0;
 };
 
+/// Ceiling on a run's (warmup + measure) / bin_width: every run, on every
+/// tier, keeps its time series in that many bins. 10^6 bins is 27.8 h
+/// simulated at the default 100 ms bins, far above the paper's longest run
+/// (120 s), so only a typo reaches it; past it `measure_s = 1e9` would end
+/// in std::bad_alloc instead of a spec error naming the field.
+inline constexpr double kMaxSeriesBins = 1e6;
+
 struct SweepSpec {
   ScenarioKind scenario = ScenarioKind::kNs2Dumbbell;
   QueueKind queue = QueueKind::kRed;
@@ -81,8 +88,10 @@ struct SweepSpec {
   std::vector<PointSpec> enumerate() const;
 
   /// Throws ParameterError, naming the field, for a spec no point could
-  /// run: empty axes, bad counts, or a scenario (probed once per flow
-  /// count) that ScenarioConfig::validate rejects.
+  /// run: empty axes, bad counts, a run window out of range (negative
+  /// warm-up, empty measure window, more than kMaxSeriesBins series bins),
+  /// or a scenario (probed once per flow count) that
+  /// ScenarioConfig::validate rejects.
   void validate() const;
 };
 

@@ -6,6 +6,7 @@
 // deterministically in one process.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -185,8 +186,8 @@ TEST_P(SweepProtocolTest, ExpiredLeaseIsSimulatedLocally) {
 
 TEST_P(SweepProtocolTest, ThrowingComputeReleasesItsClaim) {
   // The second point's planner throws (γ above C_attack forces a negative
-  // T_space). It sits in its own flows group, so on the fluid tier only
-  // its own lane batch fails.
+  // T_space). It sits in another flows block, so on the fluid tier it is
+  // in a task of its own; ThrowingPlanFailsOnlyItsOwnRows shares a task.
   SweepSpec spec = this->spec();
   PointSpec good;
   good.flows = 3;
@@ -217,6 +218,58 @@ TEST_P(SweepProtocolTest, ThrowingComputeReleasesItsClaim) {
     EXPECT_FALSE(result.points[1].error.empty());
     EXPECT_EQ(store.released(), std::vector<std::uint64_t>{bad_key});
     EXPECT_EQ(result.simulated, 3u);  // two baselines and the good point
+    EXPECT_EQ(csv_of(result), csv_of(plain));
+  }
+}
+
+TEST_P(SweepProtocolTest, ThrowingPlanFailsOnlyItsOwnRows) {
+  // A bad point (γ 5.0: its planner throws) between two good points of
+  // the same flows block. On the fluid tier all three share one plan
+  // chunk: the bad plan is left out of the batch, only its rows fail,
+  // with the planner's cause, and only their claims are released.
+  SweepSpec spec = this->spec();
+  PointSpec good;
+  good.flows = 3;
+  good.gamma = 0.4;
+  PointSpec bad = good;
+  bad.gamma = 5.0;
+  PointSpec other = good;
+  other.gamma = 0.6;
+  spec.explicit_points = {good, bad, other};
+  spec.replicates = 2;
+
+  SweepOptions plain_options = options(nullptr);
+  plain_options.cancel_on_failure = false;
+  const SweepResult plain = run_sweep(spec, plain_options);
+  ASSERT_EQ(plain.points.size(), 6u);
+  std::vector<std::uint64_t> bad_keys;
+  for (const PointResult& row : plain.points) {
+    SCOPED_TRACE(row.index);
+    if (row.point.gamma == bad.gamma) {
+      EXPECT_EQ(row.status, PointStatus::kFailed);
+      EXPECT_NE(row.error.find("plan_attack_at_gamma"), std::string::npos)
+          << row.error;
+      bad_keys.push_back(point_key(spec, row.point, row.seed));
+    } else {
+      EXPECT_EQ(row.status, PointStatus::kOk) << row.error;
+    }
+  }
+  ASSERT_EQ(bad_keys.size(), 2u);
+
+  for (auto script : {ScriptedStore::Script::kAcquire,
+                      ScriptedStore::Script::kLeaseExpires}) {
+    SCOPED_TRACE(script == ScriptedStore::Script::kAcquire ? "acquire"
+                                                           : "drained");
+    ScriptedStore store(script);
+    SweepOptions store_options = options(&store);
+    store_options.cancel_on_failure = false;
+    const SweepResult result = run_sweep(spec, store_options);
+    std::vector<std::uint64_t> released = store.released();
+    std::sort(released.begin(), released.end());
+    std::vector<std::uint64_t> expected = bad_keys;
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(released, expected);
+    EXPECT_EQ(result.simulated, 6u);  // two baselines and four good rows
     EXPECT_EQ(csv_of(result), csv_of(plain));
   }
 }

@@ -8,6 +8,7 @@
 #include <random>
 #include <set>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "core/planner.hpp"
@@ -440,6 +441,41 @@ TEST(SpecParser, RejectsNonFiniteNumbers) {
   EXPECT_EQ(parse_double("--lease-ttl", "1e300"), 1e300);
 }
 
+// A run window no run could use fails at parse time, naming the key,
+// instead of starting and ending as a skipped row: a negative warm-up, and
+// a horizon whose time series would need more than kMaxSeriesBins bins
+// (`measure_s = 1e9` needs 10^10 bins at 100 ms).
+TEST(SpecParser, RejectsRunWindowsOutOfRange) {
+  for (const char* text : {"warmup_s = -1\n", "warmup_s = -1e-9\n"}) {
+    SCOPED_TRACE(text);
+    try {
+      parse_spec(text);
+      ADD_FAILURE() << "parsed";
+    } catch (const ParameterError& e) {
+      EXPECT_NE(std::string(e.what()).find("warmup_s"), std::string::npos)
+          << e.what();
+    }
+  }
+  for (const char* text :
+       {"measure_s = 1e9\n", "measure_s = 0\n", "measure_s = 100000\n",
+        "backend = fluid\nmeasure_s = 1e9\n", "warmup_s = 1e9\n"}) {
+    SCOPED_TRACE(text);
+    try {
+      parse_spec(text);
+      ADD_FAILURE() << "parsed";
+    } catch (const ParameterError& e) {
+      EXPECT_NE(std::string(e.what()).find("measure_s"), std::string::npos)
+          << e.what();
+    }
+  }
+  // The ceiling is 10^6 bins of 100 ms: 27.8 h still parses, one bin
+  // more does not.
+  EXPECT_NO_THROW(parse_spec("warmup_s = 0\nmeasure_s = 100000\n"));
+  EXPECT_THROW(parse_spec("warmup_s = 0.1\nmeasure_s = 100000\n"),
+               ParameterError);
+  EXPECT_NO_THROW(parse_spec("warmup_s = 0\nmeasure_s = 120\n"));
+}
+
 TEST(RunSweep, FluidBackendProducesComparableDegradation) {
   SweepSpec spec;
   spec.flow_counts = {15};
@@ -508,6 +544,78 @@ TEST(RunSweep, FluidBatchedPointsMatchDirectMeasurement) {
         << point.point.gamma << " replicate " << point.point.replicate;
     EXPECT_EQ(point.measured_degradation, direct.degradation);
     EXPECT_EQ(point.goodput, direct.run.goodput_rate);
+  }
+}
+
+TEST(RunSweep, FluidOutputIsLayoutInvariant) {
+  // The fluid tier cuts each flows block into tasks of up to 8 unique
+  // attack plans and solves a task's plans as one lane batch. The bytes
+  // must not depend on how the rows fall into tasks or lanes: 2 flows
+  // blocks × 10 unique plans (a full chunk and a ragged one) × 3
+  // replicates, run on 1, 3 and 8 threads, and over a store holding every
+  // other row and baseline, so chunks batch only their misses.
+  SweepSpec spec;
+  spec.backend = Backend::kFluid;
+  spec.flow_counts = {3, 6};
+  spec.textents = {ms(50), ms(80)};
+  spec.rattacks = {mbps(25)};
+  spec.gammas = {0.2, 0.35, 0.5, 0.65, 0.8};
+  spec.replicates = 3;
+  spec.control.warmup = sec(0.5);
+  spec.control.measure = sec(1.5);
+
+  const auto outputs = [](const SweepResult& result) {
+    std::ostringstream csv, json;
+    result.write_csv(csv);
+    result.write_json(json);
+    return std::make_pair(csv.str(), json.str());
+  };
+  TempDir dir;
+  CampaignStore full(dir.sub("full"));
+  SweepOptions options;
+  options.threads = 1;
+  options.store = &full;
+  const SweepResult cold = run_sweep(spec, options);
+  ASSERT_EQ(cold.points.size(), 60u);
+  ASSERT_EQ(cold.failures(), 0u);
+  ASSERT_EQ(cold.simulated, 60u + 6u);  // rows + (flows, replicate) pairs
+  const auto expected = outputs(cold);
+
+  options.store = nullptr;
+  for (int threads : {3, 8}) {
+    SCOPED_TRACE(threads);
+    options.threads = threads;
+    EXPECT_EQ(outputs(run_sweep(spec, options)), expected);
+  }
+
+  for (int threads : {1, 3, 8}) {
+    SCOPED_TRACE(threads);
+    // Every other row, and the even replicates' baselines, from the cold
+    // run's store.
+    CampaignStore partial(dir.sub("partial-" + std::to_string(threads)));
+    std::size_t stored = 0;
+    for (const PointResult& row : cold.points) {
+      const std::uint64_t key = point_key(spec, row.point, row.seed);
+      CachedPoint record;
+      if (row.index % 2 == 0 && full.lookup_point(key, record)) {
+        partial.store_point(key, record);
+        ++stored;
+      }
+      const std::uint64_t base = baseline_key(spec, row.point, row.seed);
+      double goodput = 0.0;
+      if (row.point.replicate % 2 == 0 && full.lookup_baseline(base, goodput) &&
+          !partial.lookup_baseline(base, goodput)) {
+        partial.store_baseline(base, goodput);
+        ++stored;
+      }
+    }
+    ASSERT_EQ(stored, 30u + 4u);
+    options.threads = threads;
+    options.store = &partial;
+    const SweepResult resumed = run_sweep(spec, options);
+    EXPECT_EQ(resumed.cache_hits, stored);
+    EXPECT_EQ(resumed.simulated, 60u + 6u - stored);
+    EXPECT_EQ(outputs(resumed), expected);
   }
 }
 
