@@ -4,7 +4,7 @@
 // polls with (DESIGN.md §15). Each runs against a throwaway store
 // directory under /tmp, so the numbers include the real flock + append
 // syscall cost. These are for interactive work on the store layer — the
-// tracked, gated campaign numbers (including the ≥2.5x 4-worker cold
+// tracked, gated campaign numbers (including the ≥2.5x 4-thread cold
 // campaign floor) live in tools/bench_report (BENCH_campaign.json vs
 // bench/baseline_campaign.json).
 #include <benchmark/benchmark.h>

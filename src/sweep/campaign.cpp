@@ -1,55 +1,39 @@
 #include "sweep/campaign.hpp"
 
-#include <poll.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <unordered_set>
 
 #include "sweep/campaign_store.hpp"
+#include "sweep/thread_pool.hpp"
 #include "util/assert.hpp"
 
 namespace pdos::sweep {
 
 namespace {
 
-/// One task of a spec: a point, or the baseline of a (flows, replicate)
-/// pair.
-struct Task {
-  std::uint64_t key;
-  bool baseline;
-};
-
-/// Every task of `spec` in one enumeration, as run_sweep dispatches them:
-/// each point, and each pair's baseline where the pair first appears. The
-/// size is the task total run_sweep reports for the spec.
-std::vector<Task> spec_tasks(const SweepSpec& spec) {
-  std::vector<Task> tasks;
+/// The key of every task of `spec`, as run_sweep dispatches them: each
+/// point, and each (flows, replicate) pair's baseline where the pair first
+/// appears. The size is the task total run_sweep reports for the spec.
+std::vector<std::uint64_t> task_keys(const SweepSpec& spec) {
+  std::vector<std::uint64_t> keys;
   PairIndex baseline_pairs;
-  std::size_t next_slot = 0;
   for (const PointSpec& point : spec.enumerate()) {
     const std::uint64_t seed = replicate_seed(spec.base_seed, point.replicate);
-    tasks.push_back({point_key(spec, point, seed), false});
-    if (baseline_pairs.insert(point.flows, point.replicate, next_slot)
+    keys.push_back(point_key(spec, point, seed));
+    if (baseline_pairs
+            .insert(point.flows, point.replicate, baseline_pairs.size())
             .second) {
-      ++next_slot;
-      tasks.push_back({baseline_key(spec, point, seed), true});
+      keys.push_back(baseline_key(spec, point, seed));
     }
   }
-  return tasks;
+  return keys;
 }
 
-std::size_t distinct_keys(const std::vector<Task>& tasks) {
-  std::unordered_set<std::uint64_t> keys;
-  keys.reserve(tasks.size());
-  for (const Task& task : tasks) keys.insert(task.key);
-  return keys.size();
+std::size_t distinct_keys(const std::vector<std::uint64_t>& keys) {
+  return std::unordered_set<std::uint64_t>(keys.begin(), keys.end()).size();
 }
 
 std::ofstream open_output(const std::string& path) {
@@ -61,45 +45,9 @@ std::ofstream open_output(const std::string& path) {
   return std::ofstream(path);
 }
 
-/// One worker process: run every spec through the ordinary sweep engine
-/// against the shared store, reporting progress as one text line per event
-/// on `report_fd`. Lines are shorter than PIPE_BUF, so each lands atomically
-/// in the parent's pipe.
-int worker_main(const std::vector<CampaignSpec>& specs,
-                const CampaignOptions& options, int report_fd) {
-  CampaignStore store(options.store_dir, options.lease_ttl_seconds);
-  FILE* report = ::fdopen(report_fd, "w");
-  bool any_failed = false;
-  for (std::size_t si = 0; si < specs.size(); ++si) {
-    SweepOptions sweep_options;
-    sweep_options.threads = options.threads;
-    sweep_options.cancel_on_failure = !options.keep_going;
-    sweep_options.store = &store;
-    sweep_options.claim_poll_seconds = options.claim_poll_seconds;
-    if (report != nullptr) {
-      sweep_options.on_progress = [&](const SweepProgress& p) {
-        std::fprintf(report, "p %zu %zu %zu %zu\n", si, p.done, p.total,
-                     p.cached);
-        std::fflush(report);
-      };
-    }
-    const SweepResult r = run_sweep(specs[si].spec, sweep_options);
-    if (report != nullptr) {
-      std::fprintf(report, "f %zu %zu %zu %zu %zu %d\n", si, r.completed(),
-                   r.failures(), r.cache_hits, r.simulated,
-                   r.cancelled ? 1 : 0);
-      std::fflush(report);
-    }
-    if (r.failures() > 0 || r.cancelled) any_failed = true;
-  }
-  if (report != nullptr) std::fclose(report);
-  return any_failed ? 1 : 0;
-}
-
 }  // namespace
 
 bool CampaignResult::ok() const {
-  if (worker_failures > 0) return false;
   for (const CampaignSpecResult& s : specs) {
     if (s.result.failures() > 0 || s.result.cancelled) return false;
     for (const PointResult& p : s.result.points) {
@@ -110,7 +58,7 @@ bool CampaignResult::ok() const {
 }
 
 std::size_t count_unique_tasks(const SweepSpec& spec) {
-  return distinct_keys(spec_tasks(spec));
+  return distinct_keys(task_keys(spec));
 }
 
 SweepResult replay_from_store(const SweepSpec& spec, const PointStore& store) {
@@ -136,204 +84,87 @@ CampaignResult run_campaign(const std::vector<CampaignSpec>& specs,
   PDOS_REQUIRE(!specs.empty(), "run_campaign: no specs");
   const auto start = std::chrono::steady_clock::now();
 
-  // The parent's view of the store, opened before any fork. One pass over
-  // every task key counts the unique tasks, each spec's total, and the
-  // tasks the store has no result for; only those need a worker, so a
-  // resume of a finished campaign forks none. After the join, refresh()
-  // folds in what the workers appended.
-  CampaignStore store(options.store_dir, options.lease_ttl_seconds);
+  // One key-only pass: each spec's task total and unique task count, and
+  // the campaign's unique task count.
   CampaignResult campaign;
-  std::vector<std::size_t> spec_totals(specs.size(), 0);
-  std::vector<std::size_t> spec_unique(specs.size(), 0);
-  std::size_t missing = 0;
+  CampaignProgress progress;
+  std::vector<std::size_t> spec_totals;
   {
     std::unordered_set<std::uint64_t> keys;
-    for (std::size_t si = 0; si < specs.size(); ++si) {
-      const std::vector<Task> tasks = spec_tasks(specs[si].spec);
-      spec_totals[si] = tasks.size();
-      spec_unique[si] = distinct_keys(tasks);
-      for (const Task& task : tasks) {
-        if (!keys.insert(task.key).second) continue;
-        CachedPoint point;
-        double goodput = 0.0;
-        const bool done = task.baseline
-                              ? store.lookup_baseline(task.key, goodput)
-                              : store.lookup_point(task.key, point);
-        if (!done) ++missing;
-      }
+    for (const CampaignSpec& spec : specs) {
+      const std::vector<std::uint64_t> tasks = task_keys(spec.spec);
+      spec_totals.push_back(tasks.size());
+      progress.total += tasks.size();
+      campaign.specs.push_back({SweepResult{}, distinct_keys(tasks)});
+      keys.insert(tasks.begin(), tasks.end());
     }
     campaign.unique_tasks = keys.size();
   }
-  const int workers = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(std::max(1, options.workers)), missing));
-  campaign.workers_forked = workers;
 
-  // Fork the workers, each with a report pipe. Fork happens before this
-  // process creates any thread; each child builds its own ThreadPool and
-  // opens its own CampaignStore (its own file descriptions, so flock(2)
-  // excludes it from the parent and its siblings).
-  std::vector<pid_t> pids;
-  std::vector<int> report_fds;
-  for (int w = 0; w < workers; ++w) {
-    int fds[2];
-    PDOS_REQUIRE(::pipe(fds) == 0, "run_campaign: pipe failed");
-    const pid_t pid = ::fork();
-    PDOS_REQUIRE(pid >= 0, "run_campaign: fork failed");
-    if (pid == 0) {
-      ::close(fds[0]);
-      for (int other : report_fds) ::close(other);
-      int code = 1;
-      try {
-        code = worker_main(specs, options, fds[1]);
-      } catch (...) {
-        code = 1;
-      }
-      ::_exit(code);
-    }
-    ::close(fds[1]);
-    pids.push_back(pid);
-    report_fds.push_back(fds[0]);
-  }
+  CampaignStore store(options.store_dir, options.lease_ttl_seconds);
 
-  // Merged progress state: every forked worker walks every task of every
-  // spec, so a spec's campaign progress is its furthest worker.
-  std::vector<std::vector<std::size_t>> done(specs.size());
-  std::vector<std::vector<std::size_t>> cached(specs.size());
-  for (std::size_t si = 0; si < specs.size(); ++si) {
-    done[si].assign(static_cast<std::size_t>(workers), 0);
-    cached[si].assign(static_cast<std::size_t>(workers), 0);
-  }
-  const auto emit_progress = [&](int alive) {
-    if (!options.on_progress) return;
-    CampaignProgress progress;
-    progress.workers_alive = alive;
-    for (std::size_t si = 0; si < specs.size(); ++si) {
-      std::size_t best_done = 0;
-      std::size_t best_cached = 0;
-      for (int w = 0; w < workers; ++w) {
-        if (done[si][static_cast<std::size_t>(w)] > best_done) {
-          best_done = done[si][static_cast<std::size_t>(w)];
-          best_cached = cached[si][static_cast<std::size_t>(w)];
-        }
-      }
-      progress.done += best_done;
-      progress.cached += best_cached;
-      progress.total += spec_totals[si];
-    }
-    if (workers == 0) progress.done = progress.cached = progress.total;
+  // Runs under run_sweep's serialized progress callback (and once more at
+  // the end if the last task's report did not show every task done).
+  double last_partial = 0.0;
+  bool reported_done = false;
+  const auto report = [&] {
     progress.elapsed_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
-    options.on_progress(progress);
+    if (options.partial_interval_seconds > 0.0 &&
+        progress.elapsed_seconds - last_partial >=
+            options.partial_interval_seconds) {
+      last_partial = progress.elapsed_seconds;
+      store.refresh();
+      for (const CampaignSpec& spec : specs) {
+        if (spec.csv_path.empty()) continue;
+        std::ofstream out = open_output(spec.csv_path + ".partial");
+        if (out.good()) replay_from_store(spec.spec, store).write_csv(out);
+      }
+    }
+    if (options.on_progress) options.on_progress(progress);
+    reported_done = progress.done == progress.total;
   };
-  // With nothing left to compute, report the all-hit grid once.
-  if (workers == 0) emit_progress(0);
 
-  // Drain the report pipes until every worker closes its end.
-  std::vector<std::string> buffers(static_cast<std::size_t>(workers));
-  int alive = workers;
-  auto last_partial = start;
-  while (alive > 0) {
-    std::vector<pollfd> fds(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      fds[static_cast<std::size_t>(w)] =
-          pollfd{report_fds[static_cast<std::size_t>(w)], POLLIN, 0};
-    }
-    ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 200);
-    bool saw_report = false;
-    for (int w = 0; w < workers; ++w) {
-      const std::size_t wi = static_cast<std::size_t>(w);
-      if (report_fds[wi] < 0 ||
-          (fds[wi].revents & (POLLIN | POLLHUP | POLLERR)) == 0) {
-        continue;
-      }
-      char buf[4096];
-      const ssize_t n = ::read(report_fds[wi], buf, sizeof(buf));
-      if (n <= 0) {
-        ::close(report_fds[wi]);
-        report_fds[wi] = -1;
-        --alive;
-        continue;
-      }
-      buffers[wi].append(buf, static_cast<std::size_t>(n));
-      std::size_t begin = 0;
-      while (true) {
-        const std::size_t nl = buffers[wi].find('\n', begin);
-        if (nl == std::string::npos) break;
-        const std::string line = buffers[wi].substr(begin, nl - begin);
-        begin = nl + 1;
-        std::size_t si = 0;
-        std::size_t a = 0, b = 0, c = 0, d = 0;
-        int flag = 0;
-        if (std::sscanf(line.c_str(), "p %zu %zu %zu %zu", &si, &a, &b,
-                        &c) == 4 &&
-            si < specs.size()) {
-          done[si][wi] = a;
-          cached[si][wi] = c;
-          saw_report = true;
-        } else if (std::sscanf(line.c_str(), "f %zu %zu %zu %zu %zu %d", &si,
-                               &a, &b, &c, &d, &flag) == 6 &&
-                   si < specs.size()) {
-          campaign.worker_simulated += d;
-          done[si][wi] = spec_totals[si];
-          saw_report = true;
-        }
-      }
-      buffers[wi].erase(0, begin);
-    }
-    if (saw_report) emit_progress(alive);
-
-    if (options.partial_interval_seconds > 0.0) {
-      const auto now = std::chrono::steady_clock::now();
-      if (std::chrono::duration<double>(now - last_partial).count() >=
-          options.partial_interval_seconds) {
-        last_partial = now;
-        store.refresh();
-        for (const CampaignSpec& spec : specs) {
-          if (spec.csv_path.empty()) continue;
-          const SweepResult partial = replay_from_store(spec.spec, store);
-          std::ofstream out = open_output(spec.csv_path + ".partial");
-          if (out.good()) partial.write_csv(out);
-        }
-      }
-    }
+  SweepOptions sweep_options;
+  sweep_options.threads =
+      (options.workers > 0 ? options.workers : ThreadPool::default_threads()) *
+      std::max(1, options.threads);
+  sweep_options.cancel_on_failure = !options.keep_going;
+  sweep_options.store = &store;
+  sweep_options.claim_poll_seconds = options.claim_poll_seconds;
+  std::size_t specs_done = 0;    // tasks of the specs already swept
+  std::size_t specs_cached = 0;  // of those, answered from the store
+  if (options.on_progress || options.partial_interval_seconds > 0.0) {
+    sweep_options.on_progress = [&](const SweepProgress& p) {
+      progress.done = specs_done + p.done;
+      progress.cached = specs_cached + p.cached;
+      report();
+    };
   }
 
-  for (pid_t pid : pids) {
-    int status = 0;
-    if (::waitpid(pid, &status, 0) != pid ||
-        !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-      ++campaign.worker_failures;
-    }
-  }
-
-  // Merge pass: replay every spec through the full engine against the
-  // joined store. All-hit when the workers finished the grid (so the CSVs
-  // are byte-identical to a single-process run); stragglers from crashed
-  // workers get simulated right here.
-  store.refresh();
   for (std::size_t si = 0; si < specs.size(); ++si) {
     const CampaignSpec& spec = specs[si];
-    CampaignSpecResult spec_result;
-    SweepOptions sweep_options;
-    sweep_options.threads = options.threads;
-    sweep_options.cancel_on_failure = !options.keep_going;
-    sweep_options.store = &store;
-    sweep_options.claim_poll_seconds = options.claim_poll_seconds;
-    spec_result.result = run_sweep(spec.spec, sweep_options);
-    spec_result.unique_tasks = spec_unique[si];
-    campaign.final_simulated += spec_result.result.simulated;
+    SweepResult& result = campaign.specs[si].result;
+    result = run_sweep(spec.spec, sweep_options);
+    campaign.worker_simulated += result.simulated;
+    specs_done += spec_totals[si];
+    specs_cached += result.cache_hits;
     if (!spec.csv_path.empty()) {
       std::ofstream out = open_output(spec.csv_path);
       PDOS_REQUIRE(out.good(), "cannot open output: " + spec.csv_path);
-      spec_result.result.write_csv(out);
+      result.write_csv(out);
     }
     if (!spec.json_path.empty()) {
       std::ofstream out = open_output(spec.json_path);
       PDOS_REQUIRE(out.good(), "cannot open output: " + spec.json_path);
-      spec_result.result.write_json(out);
+      result.write_json(out);
     }
-    campaign.specs.push_back(std::move(spec_result));
+  }
+  if (!reported_done) {
+    progress.done = specs_done;
+    progress.cached = specs_cached;
+    report();
   }
 
   campaign.wall_seconds =

@@ -1,29 +1,22 @@
-// Multi-process campaign orchestration.
+// Campaign orchestration: a batch of sweep specs over one CampaignStore.
 //
-// A campaign is one or more submitted sweep specs executed by up to K
-// cooperating worker processes over one shared CampaignStore. `run_campaign`
-// opens the store in the parent first and counts the tasks that have no
-// result yet; it forks min(K, that count) workers, so resuming a finished
-// campaign forks none. Each forked worker runs every spec through the
-// ordinary `run_sweep` engine, coordinating point-by-point via the store's
-// claim protocol. The parent streams merged progress from their report
-// pipes and, after the workers join, replays each spec from the store
-// in-process to produce the final merged tables. The replay is
-// byte-identical to a single-process run of the same spec: the result
-// table is keyed by enumeration order and cached doubles round-trip
-// bit-exactly, so CSV bytes cannot depend on which worker simulated which
-// point.
+// A campaign is one or more submitted sweep specs run in this process, one
+// after another, each through the ordinary `run_sweep` engine on one
+// thread pool over one CampaignStore. Each spec's table is the merged
+// table: the store answers every task an earlier spec (or an earlier
+// campaign, or a `pdos_sweep --resume`) already computed, and cached
+// doubles round-trip bit-exactly, so the CSV bytes equal a plain
+// `run_sweep` of the same spec.
 //
 // Cross-spec dedup costs nothing: keys are content hashes, so two specs
 // that share a sub-grid (or a spec resubmitted by another user) share the
 // store records, and only the first campaign simulates them.
 //
-// Worker processes are forked before any thread is created in the child
-// (each child builds its own ThreadPool afterwards), communicate over a
-// pipe with one short text line per event, and `_exit` without running
-// parent atexit handlers. A worker that crashes mid-task simply leaves a
-// lease to expire: the surviving workers (or the parent's final replay
-// pass) re-claim and finish its points.
+// Independent processes may run campaigns over the same store directory at
+// once: the store's lease protocol lets each claim the tasks it simulates,
+// so together they simulate each unique task once (DESIGN.md §15). A crash
+// ends the campaign in that process; its finished results stay in the
+// store, its leases expire, and a rerun resumes from there.
 #pragma once
 
 #include <cstddef>
@@ -44,71 +37,66 @@ struct CampaignSpec {
   std::string name;       // label for progress lines (e.g. file basename)
 };
 
-/// Merged progress across all workers and specs. Every forked worker walks
-/// every task of every spec (simulating the ones it claims, replaying the
-/// rest), so a spec's campaign-wide progress is the furthest worker's
-/// progress, summed over specs. A campaign that forks no worker reports
-/// once, with every task done and cached.
+/// Campaign-wide progress: tasks of the specs already swept plus the
+/// current spec's progress. Reported at least once; the last report has
+/// `done == total`.
 struct CampaignProgress {
   std::size_t done = 0;
   std::size_t total = 0;
   std::size_t cached = 0;  // of `done`, answered from the store
   double elapsed_seconds = 0.0;
-  int workers_alive = 0;
 };
 
 struct CampaignOptions {
-  /// CampaignStore directory shared by all workers (created if missing).
+  /// CampaignStore directory (created if missing).
   std::string store_dir = kDefaultStoreDir;
-  int workers = 2;
-  /// Threads per worker (<= 0: ThreadPool::default_threads() in each).
-  int threads = 0;
-  bool keep_going = false;  // workers keep dispatching after a failure
+  /// Each spec's run_sweep pool has workers × threads threads. `workers`
+  /// <= 0 means ThreadPool::default_threads(); `threads` <= 0 counts as 1.
+  int workers = 0;
+  int threads = 1;
+  bool keep_going = false;  // keep dispatching after a point failure
   double lease_ttl_seconds = 120.0;
   double claim_poll_seconds = 0.05;
-  /// When > 0 and a spec has a csv_path, the parent writes a lookup-only
-  /// snapshot to `<csv_path>.partial` at this cadence while workers run.
+  /// When > 0, each spec with a csv_path gets a lookup-only snapshot at
+  /// `<csv_path>.partial`, rewritten at most this often while the campaign
+  /// runs.
   double partial_interval_seconds = 0.0;
-  /// Serialized in the parent; called on every worker report line.
+  /// Serialized; called after every finished task.
   std::function<void(const CampaignProgress&)> on_progress;
 };
 
 struct CampaignSpecResult {
-  /// The parent's post-join replay of the spec (the merged table). All-hit
-  /// when the workers completed the grid; any straggler a crashed worker
-  /// left behind is simulated here.
-  SweepResult result;
+  SweepResult result;  // the spec's run_sweep over the store
   std::size_t unique_tasks = 0;  // baselines + points, deduped within spec
 };
 
 struct CampaignResult {
   std::vector<CampaignSpecResult> specs;  // one per submitted spec
   /// Unique task keys across ALL specs — the floor of simulations a cold
-  /// campaign must run, and (claim protocol working) also the ceiling.
+  /// campaign must run, and (claim protocol working) also the ceiling, even
+  /// with other processes sweeping the same store at once.
   std::size_t unique_tasks = 0;
-  /// Sum of the workers' SweepResult::simulated counters. On a cold store,
+  /// Sum of the specs' SweepResult::simulated. On a cold store,
   /// worker_simulated + final_simulated > unique_tasks means duplicated
-  /// work; <= holds whenever claiming dedups correctly (CI asserts it).
+  /// work (CI asserts it never happens).
   std::size_t worker_simulated = 0;
-  std::size_t final_simulated = 0;  // stragglers simulated by the parent
-  /// Worker processes forked: min(CampaignOptions::workers, tasks without
-  /// a result when the campaign started), so 0 for an all-hit resume.
-  int workers_forked = 0;
-  int worker_failures = 0;  // workers that exited nonzero or crashed
+  /// Always 0: each spec's sweep is the merged table, so no replay pass
+  /// after it runs. Kept so the sum above still reads as the total.
+  std::size_t final_simulated = 0;
   double wall_seconds = 0.0;
 
   bool ok() const;
 };
 
-/// Fork up to `options.workers` processes over `specs` (no more than there
-/// are tasks without a result), join them, and replay the merged results. Must be called from a process that can fork safely
-/// (i.e. before the caller spawns its own threads).
+/// Sweep every spec in order through run_sweep on one CampaignStore, write
+/// each spec's CSV/JSON, and return the tables. Each run_sweep joins its
+/// thread pool before returning.
 CampaignResult run_campaign(const std::vector<CampaignSpec>& specs,
                             const CampaignOptions& options);
 
 /// Lookup-only replay: fill a result table from whatever the store already
 /// holds, without claiming or simulating. Unresolved rows stay kSkipped.
-/// Used for the parent's partial CSV snapshots while workers run.
+/// Used for the `<csv>.partial` snapshots.
 SweepResult replay_from_store(const SweepSpec& spec, const PointStore& store);
 
 /// Unique task count (baselines + points) of one spec.

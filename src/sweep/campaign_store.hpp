@@ -2,12 +2,11 @@
 //
 // Every persisted sweep result lives here: `pdos_sweep --resume` (the
 // default directory .pdos-cache/campaign), `pdos_sweep --campaign DIR`,
-// the spec key `store =`, and `pdos_campaign`. A campaign is K cooperating
-// processes (possibly serving many submitted specs) sweeping one shared
-// grid, so the store must let them (a) dedup results — a point simulated by
-// any worker is a hit for every other worker, for every later campaign and
-// for every later --resume sweep — and (b) partition cold work without a
-// central dispatcher. `CampaignStore` does both with files only: no daemon,
+// the spec key `store =`, and `pdos_campaign`. Independent processes may
+// sweep one store at once, so the store must let them (a) dedup results —
+// a point simulated by any process is a hit for every other process, for
+// every later campaign and for every later --resume sweep — and (b)
+// partition cold work without a central dispatcher. `CampaignStore` does both with files only: no daemon,
 // no shared memory, no sockets, so workers can be independent OS processes
 // (or, later, NFS peers). A single process is simply a campaign of one.
 //

@@ -64,9 +64,9 @@ void hash_scenario(Fnv1a& h, const ScenarioConfig& c) {
   h.i64(0);
   h.i64(c.hybrid_foreground).f64(c.hybrid_tick);
   h.f64(c.fluid_dt_pulse).f64(c.fluid_dt_idle);
-  // The worker process count is not a spec field at all: the same keys
-  // address the store from every process, which is what lets K campaign
-  // processes dedup against each other and against past --resume sweeps.
+  // Thread and process counts are not spec fields at all: the same keys
+  // address the store from every process, which is what lets concurrent
+  // campaigns dedup against each other and against past --resume sweeps.
 }
 
 void hash_control(Fnv1a& h, const RunControl& ctl) {

@@ -424,13 +424,6 @@ std::vector<TaskGroup> group_consecutive(std::size_t n, GetSpec&& spec_of) {
   return groups;
 }
 
-/// Lanes per fluid solve_batch call, and so the unique attack plans per
-/// fluid task: two full SIMD chunks, wide enough to amortize the per-step
-/// scalar driver, small enough that a ragged tail wastes little work and
-/// that a grid cuts into many tasks for the pool. Not a result knob:
-/// batched lanes are bit-identical to single-point solves at any width.
-constexpr std::size_t kFluidBatchWidth = 8;
-
 /// Cut the fluid tier's entries into tasks: consecutive entries of one
 /// flows block, at most kFluidBatchWidth unique attack plans per task,
 /// a plan's entries (a point's replicates) never split. Every point of a

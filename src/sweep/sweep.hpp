@@ -15,6 +15,7 @@
 // normalize.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -50,6 +51,14 @@ struct PointSpec {
 /// (120 s), so only a typo reaches it; past it `measure_s = 1e9` would end
 /// in std::bad_alloc instead of a spec error naming the field.
 inline constexpr double kMaxSeriesBins = 1e6;
+
+/// Lanes per fluid solve_batch call, and so the unique attack plans per
+/// fluid sweep task: two full SIMD chunks, wide enough to amortize the
+/// per-step scalar driver, small enough that a ragged tail wastes little
+/// work and that a grid cuts into many tasks for the pool. Not a result
+/// knob: batched lanes are bit-identical to single-point solves at any
+/// width. tools/bench_report measures its fluid benches at this width.
+inline constexpr std::size_t kFluidBatchWidth = 8;
 
 struct SweepSpec {
   ScenarioKind scenario = ScenarioKind::kNs2Dumbbell;
@@ -169,9 +178,9 @@ struct SweepResult {
   /// simulation. 0 without a store.
   std::size_t cache_hits = 0;
   /// Tasks this process simulated itself (as opposed to cache hits and
-  /// failures). Campaign workers sum this across processes to verify the
-  /// claim protocol deduplicated the grid: a cold K-worker campaign should
-  /// sum to ~the unique task count, not K× it.
+  /// failures). Processes sharing a store sum this to verify the claim
+  /// protocol deduplicated the grid: K processes on one cold grid should
+  /// sum to the unique task count, not K× it.
   std::size_t simulated = 0;
 
   std::size_t failures() const;

@@ -1,7 +1,7 @@
 // Campaign orchestration: cross-process dedup through the shared store,
-// the no-duplicated-work invariant of run_campaign, forking only for tasks
-// the store lacks, byte-identical merged CSVs across campaigns, and
-// lookup-only replay.
+// the no-duplicated-work invariant of concurrent run_campaign processes,
+// all-hit resumes, the pool size, partial snapshots, byte-identical merged
+// CSVs, and lookup-only replay.
 #include "sweep/campaign.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sweep/campaign_store.hpp"
@@ -84,57 +85,85 @@ TEST(CampaignTest, SecondProcessGetsAllHitsAndIdenticalCsv) {
   EXPECT_EQ(csv_of(result), slurp(child_csv));
 }
 
-TEST(CampaignTest, ColdCampaignNeverDuplicatesWork) {
-  TempDir dir;
-  CampaignSpec spec;
-  spec.spec = tiny_spec();
-  spec.csv_path = dir.sub("out/tiny.csv");
-  spec.name = "tiny";
+/// Line count and first line of a CSV text.
+std::pair<std::size_t, std::string> csv_shape(const std::string& text) {
+  std::istringstream in(text);
+  std::string header;
+  std::getline(in, header);
+  std::size_t lines = header.empty() ? 0 : 1;
+  for (std::string line; std::getline(in, line);) ++lines;
+  return {lines, header};
+}
 
+CampaignOptions tiny_options(const TempDir& dir) {
   CampaignOptions options;
   options.store_dir = dir.sub("store.d");
   options.workers = 2;
   options.threads = 1;
   options.claim_poll_seconds = 0.01;
-
-  const CampaignResult cold = run_campaign({spec}, options);
-  EXPECT_TRUE(cold.ok());
-  EXPECT_EQ(cold.worker_failures, 0);
-  EXPECT_EQ(cold.unique_tasks, count_unique_tasks(spec.spec));
-  // The claim protocol's whole point: K workers, each walking the full
-  // grid, together simulate each unique task at most once.
-  EXPECT_LE(cold.worker_simulated + cold.final_simulated, cold.unique_tasks);
-  EXPECT_GT(cold.worker_simulated + cold.final_simulated, 0u);
-  const std::string cold_csv = slurp(spec.csv_path);
-  EXPECT_FALSE(cold_csv.empty());
-
-  // Resubmitting the identical campaign answers everything from the store
-  // and reproduces the merged CSV byte for byte.
-  CampaignSpec again = spec;
-  again.csv_path = dir.sub("out/tiny2.csv");
-  const CampaignResult warm = run_campaign({again}, options);
-  EXPECT_TRUE(warm.ok());
-  EXPECT_EQ(warm.worker_simulated, 0u);
-  EXPECT_EQ(warm.final_simulated, 0u);
-  EXPECT_EQ(slurp(again.csv_path), cold_csv);
+  return options;
 }
 
-TEST(CampaignTest, AllHitResumeForksNoWorkers) {
+// Two independent processes run the same campaign on one cold store at
+// once. The store's leases split the grid between them: together they
+// simulate each unique task at most once, and each writes the CSV a plain
+// in-process run_sweep writes.
+TEST(CampaignTest, ColdCampaignNeverDuplicatesWork) {
+  TempDir dir;
+  const CampaignOptions options = tiny_options(dir);
+  std::vector<pid_t> pids;
+  for (int p = 0; p < 2; ++p) {
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      int code = 1;
+      try {
+        CampaignSpec spec;
+        spec.spec = tiny_spec();
+        spec.csv_path = dir.sub("out/p" + std::to_string(p) + ".csv");
+        const CampaignResult r = run_campaign({spec}, options);
+        std::ofstream(dir.sub("simulated" + std::to_string(p)))
+            << r.worker_simulated + r.final_simulated << "\n";
+        code = r.ok() ? 0 : 1;
+      } catch (...) {
+      }
+      _exit(code);
+    }
+    pids.push_back(pid);
+  }
+  for (pid_t pid : pids) {
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  }
+
+  std::size_t simulated = 0;
+  for (int p = 0; p < 2; ++p) {
+    std::size_t n = 0;
+    std::ifstream(dir.sub("simulated" + std::to_string(p))) >> n;
+    simulated += n;
+  }
+  EXPECT_LE(simulated, count_unique_tasks(tiny_spec()));
+  EXPECT_GT(simulated, 0u);
+  SweepOptions in_process;
+  in_process.threads = 1;
+  const std::string reference = csv_of(run_sweep(tiny_spec(), in_process));
+  EXPECT_EQ(slurp(dir.sub("out/p0.csv")), reference);
+  EXPECT_EQ(slurp(dir.sub("out/p1.csv")), reference);
+}
+
+TEST(CampaignTest, AllHitResumeSimulatesNothing) {
   TempDir dir;
   CampaignSpec spec;
   spec.spec = tiny_spec();
   spec.csv_path = dir.sub("cold.csv");
-  CampaignOptions options;
-  options.store_dir = dir.sub("store.d");
-  options.workers = 2;
-  options.threads = 1;
-  options.claim_poll_seconds = 0.01;
+  CampaignOptions options = tiny_options(dir);
   const CampaignResult cold = run_campaign({spec}, options);
   ASSERT_TRUE(cold.ok());
-  EXPECT_EQ(cold.workers_forked, 2);
+  EXPECT_EQ(cold.unique_tasks, count_unique_tasks(spec.spec));
+  EXPECT_EQ(cold.worker_simulated, cold.unique_tasks);
 
-  // Nothing is left to compute: the parent answers every task from the
-  // store it opened, without a fork, and reports the grid done once.
+  // Every task is a store hit, and the last report shows the grid done.
   CampaignSpec again = spec;
   again.csv_path = dir.sub("resume.csv");
   std::vector<CampaignProgress> reports;
@@ -143,43 +172,57 @@ TEST(CampaignTest, AllHitResumeForksNoWorkers) {
   };
   const CampaignResult resume = run_campaign({again}, options);
   EXPECT_TRUE(resume.ok());
-  EXPECT_EQ(resume.workers_forked, 0);
   EXPECT_EQ(resume.worker_simulated + resume.final_simulated, 0u);
   EXPECT_EQ(resume.unique_tasks, cold.unique_tasks);
   EXPECT_EQ(resume.specs.at(0).unique_tasks, count_unique_tasks(spec.spec));
-  ASSERT_EQ(reports.size(), 1u);
-  EXPECT_EQ(reports[0].done, reports[0].total);
-  EXPECT_EQ(reports[0].cached, reports[0].total);
-  EXPECT_EQ(reports[0].workers_alive, 0);
+  ASSERT_FALSE(reports.empty());
+  EXPECT_EQ(reports.back().done, reports.back().total);
+  EXPECT_EQ(reports.back().cached, reports.back().total);
+  EXPECT_EQ(reports.back().total, count_unique_tasks(spec.spec));
   EXPECT_EQ(slurp(again.csv_path), slurp(spec.csv_path));
 }
 
-TEST(CampaignTest, WorkersNeverExceedMissingTasks) {
+TEST(CampaignTest, EachSpecSweepsOnWorkersTimesThreads) {
   TempDir dir;
   CampaignSpec spec;
   spec.spec = tiny_spec();
-  spec.spec.replicates = 1;
-  spec.spec.gammas = {0.2, 0.4};
-  CampaignOptions options;
-  options.store_dir = dir.sub("store.d");
-  options.workers = 2;
-  options.threads = 1;
-  options.claim_poll_seconds = 0.01;
+  CampaignSpec other = spec;
+  other.spec.gammas = {0.3};
+  CampaignOptions options = tiny_options(dir);
+  options.threads = 2;
+  const CampaignResult wide = run_campaign({spec, other}, options);
+  ASSERT_EQ(wide.specs.size(), 2u);
+  EXPECT_EQ(wide.specs[0].result.threads, 4);
+  EXPECT_EQ(wide.specs[1].result.threads, 4);
+  // The second spec is a sub-grid of the first: all store hits.
+  EXPECT_EQ(wide.specs[1].result.simulated, 0u);
+
+  options.threads = 0;  // counts as 1
+  const CampaignResult narrow = run_campaign({spec}, options);
+  EXPECT_EQ(narrow.specs.at(0).result.threads, 2);
+}
+
+// --partial-interval: a lookup-only snapshot of the table lands next to the
+// CSV while the campaign runs, with the final table's header and rows.
+TEST(CampaignTest, PartialSnapshotIsWrittenMidRun) {
+  TempDir dir;
+  CampaignSpec spec;
+  spec.spec = tiny_spec();
+  spec.csv_path = dir.sub("tiny.csv");
+  CampaignOptions options = tiny_options(dir);
+  options.partial_interval_seconds = 1e-9;
+  std::string snapshot;
+  options.on_progress = [&](const CampaignProgress& p) {
+    // The first report is the first baseline: no point is stored yet.
+    if (p.done == 1) snapshot = slurp(spec.csv_path + ".partial");
+  };
   ASSERT_TRUE(run_campaign({spec}, options).ok());
 
-  // One more gamma is one more point (its baseline is shared): one task
-  // is missing, so one worker is forked however many are allowed.
-  spec.spec.gammas = {0.2, 0.4, 0.6};
-  spec.csv_path = dir.sub("grown.csv");
-  options.workers = 4;
-  const CampaignResult grown = run_campaign({spec}, options);
-  EXPECT_TRUE(grown.ok());
-  EXPECT_EQ(grown.workers_forked, 1);
-  EXPECT_EQ(grown.worker_simulated + grown.final_simulated, 1u);
-
-  SweepOptions in_process;
-  in_process.threads = 1;
-  EXPECT_EQ(slurp(spec.csv_path), csv_of(run_sweep(spec.spec, in_process)));
+  const std::string final_csv = slurp(spec.csv_path);
+  ASSERT_FALSE(snapshot.empty());
+  EXPECT_NE(snapshot, final_csv);
+  EXPECT_EQ(csv_shape(snapshot), csv_shape(final_csv));
+  EXPECT_EQ(csv_shape(final_csv).first, spec.spec.enumerate().size() + 1);
 }
 
 TEST(CampaignTest, OverlappingSpecsShareTheStore) {

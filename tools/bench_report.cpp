@@ -2,8 +2,8 @@
 // report: measures the scheduler and packet data-path micro-benchmarks,
 // scenario setup (fresh vs warm-reset), the LargeScale fast-path scenarios
 // (interleaved fast/full A/B), the fluid-surrogate vs packet A/B on a
-// fig. 6 quick grid point, the 1-worker vs K-worker multi-process
-// campaign A/B over a shared CampaignStore (DESIGN.md §15), and a fixed
+// fig. 6 quick grid point, the 1-thread vs K-thread campaign A/B over a
+// CampaignStore (DESIGN.md §15), and a fixed
 // fig. 6 quick-mode sweep (cold, then resumed from its store), and writes
 // BENCH_engine.json, BENCH_datapath.json, BENCH_sweep.json,
 // BENCH_scale.json, BENCH_fluid.json, and BENCH_campaign.json.
@@ -60,16 +60,15 @@
 //   --fluid-surface-out FILE  also emit the fluid-tier attack-gain surface
 //                             (γ × T_extent grid, long-format CSV:
 //                             textent_ms,gamma,degradation,gain) to FILE
-//   --campaign-out FILE       multi-process campaign output (default
-//                             BENCH_campaign.json)
-//   --campaign-baseline FILE  committed campaign reference; the K-worker
+//   --campaign-out FILE       campaign output (default BENCH_campaign.json)
+//   --campaign-baseline FILE  committed campaign reference; the K-thread
 //                             cold campaign's task throughput is gated
-//                             against it. Under --check the K-worker vs
-//                             1-worker cold-campaign speedup must clear the
+//                             against it. Under --check the K-thread vs
+//                             1-thread cold-campaign speedup must clear the
 //                             >= 2.5x floor — but ONLY on hosts with at
-//                             least 4 hardware threads (single-core runners
-//                             print a skip line: forked workers cannot beat
-//                             one process without parallel hardware), and
+//                             least 4 hardware threads (smaller runners
+//                             print a skip line: a pool cannot beat one
+//                             thread without parallel hardware), and
 //                             the all-hit resume must simulate nothing and
 //                             reproduce the merged CSV byte for byte (that
 //                             pair gates on every host).
@@ -145,12 +144,12 @@ constexpr double kFluidSpeedupFloor = 100.0;
 // under the worst observed run with margin for host noise.
 constexpr double kFluidBatchSpeedupFloor = 1.10;
 constexpr double kFluidBinnedSpeedupFloor = 1.25;
-constexpr int kFluidBatchWidth = 8;
+using sweep::kFluidBatchWidth;  // the width fluid sweeps batch at
 
-// The multi-process campaign contract (DESIGN.md §15): a cold
-// kCampaignWorkers-process campaign over a shared CampaignStore must beat
-// the same campaign run by one process by at least this much — but only
-// where the hardware can deliver it. Hosts with fewer
+// The campaign contract (DESIGN.md §15): a cold campaign on a
+// kCampaignWorkers-thread pool over a CampaignStore must beat the same
+// campaign on one thread by at least this much — but only where the
+// hardware can deliver it. Hosts with fewer
 // than kCampaignFloorMinThreads hardware threads skip the floor out loud;
 // the speedup still rides along in the artifact. The resume half of the
 // contract (all-hit, byte-identical merged CSV) is hardware-independent
@@ -448,8 +447,9 @@ FluidSimdMeasurement measure_fluid_simd(int reps) {
   const fluid::FluidConfig config = fig06_fluid_config();
   const fluid::FluidControl control = fig06_fluid_control();
   std::vector<fluid::BatchLane> lanes;
-  for (int gi = 1; gi <= kFluidBatchWidth; ++gi) {
-    lanes.push_back(fluid::BatchLane{fig06_fluid_attack(0.1 * gi)});
+  for (std::size_t gi = 1; gi <= kFluidBatchWidth; ++gi) {
+    lanes.push_back(
+        fluid::BatchLane{fig06_fluid_attack(0.1 * static_cast<double>(gi))});
   }
   const fluid::FluidConfig binned = binned_million_flow_config();
   const fluid::FluidAttack binned_attack =
@@ -524,12 +524,12 @@ FluidSimdMeasurement measure_fluid_simd(int reps) {
   return m;
 }
 
-// --- multi-process campaign A/B (mirror tests/sweep, DESIGN.md §15) ------
+// --- campaign thread-count A/B (mirror tests/sweep, DESIGN.md §15) -------
 
 /// The campaign target grid: one fast-backend fig. 6 slice with enough
-/// independent tasks (32 points + 4 baselines) that four workers can
-/// partition it meaningfully, and per-task horizons long enough that the
-/// simulation dwarfs fork + store overhead.
+/// independent tasks (32 points + 4 baselines) that four threads can
+/// share it meaningfully, and per-task horizons long enough that the
+/// simulation dwarfs pool + store overhead.
 sweep::SweepSpec campaign_bench_spec() {
   sweep::SweepSpec spec;
   spec.backend = Backend::kFast;
@@ -545,18 +545,19 @@ sweep::SweepSpec campaign_bench_spec() {
 
 struct CampaignMeasurement {
   std::size_t unique_tasks = 0;
-  double single_wall = 0.0;   // cold, 1 worker, fresh store
-  double multi_wall = 0.0;    // cold, kCampaignWorkers workers, fresh store
+  double single_wall = 0.0;   // cold, 1 thread, fresh store
+  double multi_wall = 0.0;    // cold, kCampaignWorkers threads, fresh store
   double resume_wall = 0.0;   // identical campaign over the warm store
   std::size_t single_simulated = 0;
   std::size_t multi_simulated = 0;
   std::size_t resume_simulated = 0;  // must be 0: all-hit resume
   bool csv_identical = false;  // single == multi == resume, byte for byte
-  bool ok = true;              // no point failures, no worker crashes
+  bool ok = true;              // no point failures
 };
 
-/// Three campaigns over the same spec: cold single-process, cold
-/// K-process (fresh store each), then a resume of the K-process store.
+/// Three campaigns over the same spec in this process: cold on 1 thread,
+/// cold on K threads (fresh store each), then a resume of the K-thread
+/// store.
 /// Single-shot rather than best-of — a cold campaign consumed its own
 /// precondition, and the resume arm is a correctness check first.
 CampaignMeasurement measure_campaign(const std::string& scratch_prefix) {
@@ -570,7 +571,7 @@ CampaignMeasurement measure_campaign(const std::string& scratch_prefix) {
   std::filesystem::remove_all(multi_dir);
 
   sweep::CampaignOptions options;
-  options.threads = 1;  // per worker: process count is the variable
+  options.threads = 1;  // the pool is `workers` threads
   options.claim_poll_seconds = 0.01;
 
   options.store_dir = single_dir;
@@ -578,19 +579,19 @@ CampaignMeasurement measure_campaign(const std::string& scratch_prefix) {
   const sweep::CampaignResult single = sweep::run_campaign({spec}, options);
   m.unique_tasks = single.unique_tasks;
   m.single_wall = single.wall_seconds;
-  m.single_simulated = single.worker_simulated + single.final_simulated;
+  m.single_simulated = single.worker_simulated;
   m.ok = m.ok && single.ok();
 
   options.store_dir = multi_dir;
   options.workers = kCampaignWorkers;
   const sweep::CampaignResult multi = sweep::run_campaign({spec}, options);
   m.multi_wall = multi.wall_seconds;
-  m.multi_simulated = multi.worker_simulated + multi.final_simulated;
+  m.multi_simulated = multi.worker_simulated;
   m.ok = m.ok && multi.ok();
 
   const sweep::CampaignResult resume = sweep::run_campaign({spec}, options);
   m.resume_wall = resume.wall_seconds;
-  m.resume_simulated = resume.worker_simulated + resume.final_simulated;
+  m.resume_simulated = resume.worker_simulated;
   m.ok = m.ok && resume.ok();
 
   std::ostringstream a, b, c;
@@ -654,7 +655,7 @@ void emit_fluid_surface(const std::string& path) {
   }
   const double wall = seconds_since(start);
   std::printf("fluid_surface: %zu cells in %.3f s (%.0f points/s, batch "
-              "W=%d, %s kernels)\n",
+              "W=%zu, %s kernels)\n",
               points.size(), wall, static_cast<double>(points.size()) / wall,
               kFluidBatchWidth, fluid::simd_backend());
 
@@ -981,11 +982,10 @@ int main(int argc, char** argv) {
           ? fluid_simd.ref_binned_wall / fluid_simd.vec_binned_wall
           : 0.0;
 
-  // Campaign family: cold 1-worker vs cold kCampaignWorkers-worker campaign
-  // over a shared CampaignStore, plus an all-hit resume. The gated metric
-  // is the multi-worker cold campaign's task throughput; the walls, the
-  // speedup, and the resume pair ride along. run_campaign forks, which is
-  // safe here: no measurement above leaves a thread pool alive.
+  // Campaign family: cold 1-thread vs cold kCampaignWorkers-thread
+  // campaign over a CampaignStore, plus an all-hit resume. The gated metric
+  // is the K-thread cold campaign's task throughput; the walls, the
+  // speedup, and the resume pair ride along.
   const CampaignMeasurement campaign = measure_campaign(campaign_out_path);
   const double campaign_speedup =
       campaign.multi_wall > 0.0 ? campaign.single_wall / campaign.multi_wall
@@ -1031,7 +1031,7 @@ int main(int argc, char** argv) {
       Entry{"packet_point_wall_seconds", packet_point_wall});
   fluid_entries.push_back(Entry{"fluid_speedup_vs_packet", fluid_speedup});
   fluid_entries.push_back(Entry{"fluid_speedup_floor", kFluidSpeedupFloor});
-  std::printf("fluid_simd (%s kernels): batch W=%d grid %.6f s vs scalar-ref "
+  std::printf("fluid_simd (%s kernels): batch W=%zu grid %.6f s vs scalar-ref "
               "%.6f s, speedup %.2fx (floor %.1fx); binned-1e6 %.6f s vs "
               "%.6f s, speedup %.2fx (floor %.1fx)\n",
               fluid::simd_backend(), kFluidBatchWidth,
@@ -1060,7 +1060,7 @@ int main(int argc, char** argv) {
     std::printf("%-36s %12.2f tasks/s\n", m.key, m.rate);
     campaign_entries.push_back(Entry{m.key, m.rate});
   }
-  std::printf("campaign %zu tasks: 1 worker %.3f s, %d workers %.3f s, "
+  std::printf("campaign %zu tasks: 1 thread %.3f s, %d threads %.3f s, "
               "speedup %.2fx (floor %.1fx on >= %u threads); resume %.3f s "
               "(%zu simulated, csv %s)\n",
               campaign.unique_tasks, campaign.single_wall, kCampaignWorkers,
@@ -1180,7 +1180,7 @@ int main(int argc, char** argv) {
   if (check) {
     // The campaign contract (DESIGN.md §15). The speedup half is a
     // same-machine ratio, gated directly, skipped out loud on hosts that
-    // cannot run 4 workers in parallel. The resume half —
+    // cannot run 4 threads in parallel. The resume half —
     // all-hit, byte-identical merged CSV, no failures — is pure protocol
     // correctness and gates everywhere.
     const unsigned threads = std::thread::hardware_concurrency();
@@ -1190,8 +1190,8 @@ int main(int argc, char** argv) {
           threads, kCampaignFloorMinThreads);
     } else if (campaign_speedup < kCampaignSpeedupFloor) {
       std::fprintf(stderr,
-                   "REGRESSION: %d-worker cold campaign is only %.2fx faster "
-                   "than 1 worker (floor: %.1fx on %u threads)\n",
+                   "REGRESSION: %d-thread cold campaign is only %.2fx faster "
+                   "than 1 thread (floor: %.1fx on %u threads)\n",
                    kCampaignWorkers, campaign_speedup, kCampaignSpeedupFloor,
                    threads);
       ++regressions;
@@ -1227,7 +1227,7 @@ int main(int argc, char** argv) {
     } else {
       if (fluid_batch_speedup < kFluidBatchSpeedupFloor) {
         std::fprintf(stderr,
-                     "REGRESSION: batched W=%d fluid grid is only %.2fx "
+                     "REGRESSION: batched W=%zu fluid grid is only %.2fx "
                      "faster than the scalar reference (floor: %.1fx)\n",
                      kFluidBatchWidth, fluid_batch_speedup,
                      kFluidBatchSpeedupFloor);

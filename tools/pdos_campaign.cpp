@@ -1,39 +1,35 @@
-// pdos_campaign — execute one or more sweep specs with K cooperating
-// worker processes over a shared sharded point store.
+// pdos_campaign — run one or more sweep specs over a shared result store.
 //
 // Usage:
-//   pdos_campaign SPEC... [--store DIR] [--workers K] [--threads N]
-//                 [--csv-dir DIR] [--lease-ttl S] [--partial-interval S]
-//                 [--keep-going] [--assert-no-dup] [--compact] [--quiet]
+//   pdos_campaign SPEC... [--store DIR] [--workers K] [--csv-dir DIR]
+//                 [--lease-ttl S] [--partial-interval S] [--keep-going]
+//                 [--assert-no-dup] [--compact] [--quiet]
 //
-// The parent opens the store and forks one worker per task the store has
-// no result for, up to --workers, so resuming a finished campaign forks
-// none. Each worker process runs every spec through the ordinary sweep
-// engine; the store's claim protocol partitions the cold grid among them
-// with near-zero duplicated simulation, and every completed point is a hit
-// for all workers, all specs that share its sub-grid, and every later
-// campaign. After the workers join, the parent replays each spec from the
-// store and writes merged CSV/JSON tables byte-identical to a
-// single-process run.
+// Each spec runs in turn through the ordinary sweep engine, in this
+// process, on one K-thread pool over the CampaignStore. A task the store
+// already holds (from an earlier spec, campaign or `pdos_sweep --resume`)
+// is a hit, so resuming a finished campaign simulates nothing. Each spec's
+// CSV/JSON is byte-identical to a plain `pdos_sweep` run of it. Several
+// pdos_campaign processes may share one store at once: the store's leases
+// let each claim the tasks it simulates, so no task is simulated twice.
+// A crashed run leaves its finished results in the store; rerun to resume.
 //
 //   --store DIR          CampaignStore directory (default
 //                        .pdos-cache/campaign, which `pdos_sweep --resume`
 //                        shares; spec `store =` overrides the default, the
 //                        flag overrides the spec)
-//   --workers K          at most K worker processes (default 2, at least
-//                        1); never more than the tasks left to simulate
-//   --threads N          threads per worker (default 0: all hardware threads)
+//   --workers K          worker threads (default: all hardware threads)
 //   --csv-dir DIR        write each spec's merged CSV to DIR/<spec-stem>.csv
 //                        (overrides the spec's `csv =`)
 //   --lease-ttl S        work-claim lifetime in seconds (default 120)
-//   --partial-interval S stream lookup-only partial CSVs to
-//                        <csv>.partial every S seconds while workers run
-//   --keep-going         workers keep dispatching after a point failure
-//   --assert-no-dup      exit 1 if total simulations exceeded the unique
-//                        task count (i.e. claiming failed to dedup)
+//   --partial-interval S write lookup-only partial CSVs to <csv>.partial
+//                        at most every S seconds while the campaign runs
+//   --keep-going         keep dispatching after a point failure
+//   --assert-no-dup      exit 1 if this run simulated more tasks than the
+//                        campaign has unique tasks (claiming failed to dedup)
 //   --compact            compact the store segments after the run
 //
-// Exit status: 0 on success; 1 when any point failed, a worker crashed, or
+// Exit status: 0 on success; 1 when any point failed, the run threw, or
 // an --assert-no-dup check tripped; 2 on a usage or spec error (including a
 // spec whose grid enumerates no points and a flag value that does not parse
 // exactly, e.g. `--workers 2.5`).
@@ -45,6 +41,7 @@
 #include "sweep/campaign.hpp"
 #include "sweep/campaign_store.hpp"
 #include "sweep/spec.hpp"
+#include "sweep/thread_pool.hpp"
 
 using namespace pdos;
 
@@ -53,7 +50,7 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: pdos_campaign SPEC... [--store DIR] [--workers K] "
-               "[--threads N] [--csv-dir DIR] [--lease-ttl S] "
+               "[--csv-dir DIR] [--lease-ttl S] "
                "[--partial-interval S] [--keep-going] [--assert-no-dup] "
                "[--compact] [--quiet]\n");
   return 2;
@@ -64,6 +61,7 @@ int usage() {
 int main(int argc, char** argv) {
   std::vector<std::string> spec_paths;
   sweep::CampaignOptions options;
+  options.workers = sweep::ThreadPool::default_threads();
   std::string store_flag;
   std::string csv_dir;
   bool assert_no_dup = false;
@@ -78,8 +76,6 @@ int main(int argc, char** argv) {
         store_flag = argv[++i];
       } else if (flag == "--workers" && has_value) {
         options.workers = sweep::parse_int(flag, argv[++i], 1);
-      } else if (flag == "--threads" && has_value) {
-        options.threads = sweep::parse_int(flag, argv[++i], 0);
       } else if (flag == "--csv-dir" && has_value) {
         csv_dir = argv[++i];
       } else if (flag == "--lease-ttl" && has_value) {
@@ -147,15 +143,13 @@ int main(int argc, char** argv) {
   if (!quiet) {
     options.on_progress = [](const sweep::CampaignProgress& p) {
       std::fprintf(stderr,
-                   "\r%zu/%zu done (%zu cached), %d workers, %.1fs   ",
-                   p.done, p.total, p.cached, p.workers_alive,
-                   p.elapsed_seconds);
+                   "\r%zu/%zu done (%zu cached), %.1fs   ", p.done, p.total,
+                   p.cached, p.elapsed_seconds);
       if (p.done == p.total) std::fprintf(stderr, "\n");
     };
     std::fprintf(stderr,
-                 "pdos_campaign: %zu spec(s), up to %d workers, store %s\n",
-                 specs.size(), options.workers,
-                 options.store_dir.c_str());
+                 "pdos_campaign: %zu spec(s), %d worker threads, store %s\n",
+                 specs.size(), options.workers, options.store_dir.c_str());
   }
 
   sweep::CampaignResult result;
@@ -166,8 +160,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const std::size_t total_simulated =
-      result.worker_simulated + result.final_simulated;
   if (!quiet) {
     std::fprintf(stderr, "\n");
     for (std::size_t si = 0; si < specs.size(); ++si) {
@@ -181,12 +173,9 @@ int main(int argc, char** argv) {
                    specs[si].csv_path.c_str());
     }
     std::fprintf(stderr,
-                 "pdos_campaign: %zu unique tasks, %zu simulated "
-                 "(%zu by workers, %zu in merge), %d workers forked, "
-                 "%d worker failure(s), %.2fs wall\n",
-                 result.unique_tasks, total_simulated,
-                 result.worker_simulated, result.final_simulated,
-                 result.workers_forked, result.worker_failures,
+                 "pdos_campaign: %zu unique tasks, %zu simulated, "
+                 "%.2fs wall\n",
+                 result.unique_tasks, result.worker_simulated,
                  result.wall_seconds);
   }
 
@@ -201,11 +190,11 @@ int main(int argc, char** argv) {
   }
 
   bool ok = result.ok();
-  if (assert_no_dup && total_simulated > result.unique_tasks) {
+  if (assert_no_dup && result.worker_simulated > result.unique_tasks) {
     std::fprintf(stderr,
                  "pdos_campaign: DUPLICATED WORK: %zu simulations for %zu "
                  "unique tasks\n",
-                 total_simulated, result.unique_tasks);
+                 result.worker_simulated, result.unique_tasks);
     ok = false;
   }
   return ok ? 0 : 1;
