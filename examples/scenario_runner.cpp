@@ -7,7 +7,7 @@
 //                   [--rtomin MS] [--textent MS] [--rattack MBPS]
 //                   [--gamma G | --no-attack] [--kappa K]
 //                   [--warmup S] [--measure S] [--seed N]
-//                   [--backend full|fast|fluid|hybrid] [--foreground N]
+//                   [--backend full|fast|fluid]
 //   scenario_runner --sweep SPECFILE [--threads N]
 //
 // The first form prints baseline and attacked goodput, measured vs
@@ -40,8 +40,8 @@ namespace {
 const std::set<std::string> kValueFlags = {
     "--flows",   "--bottleneck", "--buffer",  "--queue",   "--tcp",
     "--rtomin",  "--textent",    "--rattack", "--gamma",   "--kappa",
-    "--warmup",  "--measure",    "--seed",    "--backend", "--foreground",
-    "--sweep",   "--threads"};
+    "--warmup",  "--measure",    "--seed",    "--backend", "--sweep",
+    "--threads"};
 const std::set<std::string> kSwitches = {"--no-attack"};
 
 /// The parsed command line. Throws ParameterError naming the flag on an
@@ -156,9 +156,7 @@ int run_single(const Args& args) {
                          : tcp == "reno" ? TcpVariant::kReno
                                          : TcpVariant::kNewReno;
   scenario.backend = *parse_backend(
-      args.choice("--backend", "full", {"full", "fast", "fluid", "hybrid"}));
-  scenario.hybrid_foreground =
-      args.integer("--foreground", scenario.hybrid_foreground, 1);
+      args.choice("--backend", "full", {"full", "fast", "fluid"}));
 
   RunControl control;
   control.warmup = sec(args.real("--warmup", 5.0));

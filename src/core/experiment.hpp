@@ -35,9 +35,6 @@ namespace pdos {
 
 class Link;
 class OnOffSource;
-namespace fluid {
-class FluidBackgroundSource;
-}
 
 enum class QueueKind { kDropTail, kRed };
 
@@ -57,14 +54,11 @@ enum class QueueKind { kDropTail, kRed };
 ///   kFluid  — no packets at all: the fluid AIMD solver (src/fluid)
 ///             integrates per-class window ODEs and RED occupancy,
 ///             microseconds per run.
-///   kHybrid — `hybrid_foreground` flows stay packet-level; the remaining
-///             flows become a fluid aggregate coupled into the RED
-///             bottleneck through a FluidBackgroundSource.
-enum class Backend { kFull, kFast, kFluid, kHybrid };
+enum class Backend { kFull, kFast, kFluid };
 
 const char* backend_name(Backend backend);
 
-/// Parse "full" | "fast" | "fluid" | "hybrid"; nullopt on anything else.
+/// Parse "full" | "fast" | "fluid"; nullopt on anything else.
 std::optional<Backend> parse_backend(const std::string& name);
 
 struct ScenarioConfig {
@@ -92,15 +86,9 @@ struct ScenarioConfig {
   BitRate cross_traffic_rate = 0.0;
   std::uint64_t seed = 1;
   /// Which simulation tier runs the scenario (see Backend above). kFull
-  /// keeps every default-path digest byte-identical; kFluid and kHybrid
-  /// trade packet-level fidelity for speed.
+  /// keeps every default-path digest byte-identical; kFluid trades
+  /// packet-level fidelity for speed.
   Backend backend = Backend::kFull;
-  /// Hybrid tier: how many flows (spread evenly across the RTT list) stay
-  /// packet-level. The other num_flows - hybrid_foreground flows form the
-  /// fluid background aggregate.
-  int hybrid_foreground = 4;
-  /// Hybrid tier: background integration tick.
-  Time hybrid_tick = ms(1.0);
   /// Fluid tier: base integration step inside / between pulses. The solver
   /// additionally snaps steps to pulse edges and RTO expiries.
   Time fluid_dt_pulse = ms(10.0);
@@ -224,7 +212,6 @@ class ScenarioWorkspace {
   std::vector<TcpConnection> connections_;
   std::vector<PulseAttacker*> attackers_;
   OnOffSource* cross_traffic_ = nullptr;
-  fluid::FluidBackgroundSource* background_ = nullptr;  // hybrid tier only
   // Flat hot-state tables (tcp/flow_state.hpp), one slot per flow, laid out
   // contiguously in the simulator arena by build().
   TcpSenderHot* sender_hot_ = nullptr;
@@ -289,9 +276,8 @@ std::vector<GainMeasurement> fluid_gain_batch(const ScenarioConfig& config,
 
 /// Translate a scenario to the fluid tier's system description: one class
 /// per flow, the same RED parameterization `make_queue` builds, the TCP
-/// stack's AIMD/slow-start/RTO knobs. Used by the kFluid backend, the
-/// hybrid background (with the class list cut down to the background
-/// flows), and the agreement tests.
+/// stack's AIMD/slow-start/RTO knobs. Used by the kFluid backend and the
+/// agreement tests.
 fluid::FluidConfig make_fluid_config(const ScenarioConfig& config);
 
 }  // namespace pdos

@@ -56,13 +56,16 @@ void hash_scenario(Fnv1a& h, const ScenarioConfig& c) {
   h.f64(c.cross_traffic_rate);
 
   // Simulation tier: the backend (and its tuning knobs) changes what a
-  // "result" means, so full/fast/fluid/hybrid points must never alias in a
+  // "result" means, so full/fast/fluid points must never alias in a
   // --resume replay.
   h.i64(static_cast<std::int64_t>(c.backend));
   // Retired slot of the old fast_path flag (Backend::kFast replaced it).
   // Every sweep config hashed 0 here, so schema-3 keys stay unchanged.
   h.i64(0);
-  h.i64(c.hybrid_foreground).f64(c.hybrid_tick);
+  // Retired slot of the deleted hybrid tier's foreground flow count and
+  // background tick. Every sweep config hashed their defaults, 4 and 1 ms,
+  // so schema-3 keys stay unchanged.
+  h.i64(4).f64(ms(1.0));
   h.f64(c.fluid_dt_pulse).f64(c.fluid_dt_idle);
   // Thread and process counts are not spec fields at all: the same keys
   // address the store from every process, which is what lets concurrent

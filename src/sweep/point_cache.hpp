@@ -30,12 +30,13 @@ namespace pdos::sweep {
 /// Bump on any change to the record layout OR to simulation semantics that
 /// changes outputs at identical parameters.
 /// Schema 2: the key covers the simulation tier (ScenarioConfig::backend
-/// and the hybrid/fluid tuning knobs), so points computed on different
-/// backends never alias.
+/// and the fluid tuning knobs), so points computed on different backends
+/// never alias.
 /// Schema 3: the vectorized fluid tier (DESIGN.md §16) moved the solver's
-/// cross-class reductions onto a fixed-shape block tree — every fluid and
-/// hybrid result shifts at ULP level at identical parameters, so schema-2
-/// fluid records must not replay.
+/// cross-class reductions onto a fixed-shape block tree — every fluid
+/// result shifts at ULP level at identical parameters, so schema-2 fluid
+/// records must not replay. Retired config fields keep their key slots as
+/// constants, so schema-3 keys outlive the fields.
 inline constexpr int kPointCacheSchema = 3;
 
 /// The measured (and analytic) outputs of one completed point — every

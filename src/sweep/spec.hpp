@@ -7,9 +7,8 @@
 //   # full Figs. 6-9 grid
 //   scenario     = ns2          # ns2 | testbed
 //   queue        = red          # red | droptail
-//   backend      = full         # full | fast | fluid | hybrid (tier, see
+//   backend      = full         # full | fast | fluid (tier, see
 //                               # DESIGN.md §12; default full)
-//   hybrid_foreground = 4       # hybrid only: packet-level flows per point
 //   flows        = 15,25,35,45
 //   textent_ms   = 50,75,100
 //   rattack_mbps = 25,30,35,40
@@ -27,14 +26,14 @@
 //                               # CampaignStore that --resume also uses)
 //
 // Unknown keys are an error (they are always typos, or retired keys such
-// as `cache`, whose single-file store is gone). Integer keys (flows,
-// replicates, gamma_points, threads, hybrid_foreground, base_seed) take
-// exact base-10 integers: `4.7` or an out-of-range value is an error.
-// The other numeric keys take finite numbers: `measure_s = inf` and
-// `kappa = nan` are errors, not unbounded or undefined runs.
-// The whole spec is validated at parse time (SweepSpec::validate), so an
-// incompatible combination such as `backend = hybrid` with
-// `queue = droptail` fails here, naming the field, before anything runs.
+// as `cache`, whose single-file store is gone, or the deleted hybrid
+// tier's foreground count). Integer keys (flows, replicates, gamma_points,
+// threads, base_seed) take exact base-10 integers: `4.7` or an
+// out-of-range value is an error. The other numeric keys take finite
+// numbers: `measure_s = inf` and `kappa = nan` are errors, not unbounded
+// or undefined runs. The whole spec is validated at parse time
+// (SweepSpec::validate), so a spec no point could run, such as
+// `measure_s = 0`, fails here, naming the field, before anything runs.
 #pragma once
 
 #include <charconv>

@@ -70,7 +70,6 @@ ScenarioConfig SweepSpec::make_scenario(const PointSpec& point) const {
                               : ScenarioConfig::testbed(point.flows);
   config.queue = queue;
   config.backend = backend;
-  config.hybrid_foreground = hybrid_foreground;
   config.seed = replicate_seed(base_seed, point.replicate);
   return config;
 }
@@ -78,14 +77,17 @@ ScenarioConfig SweepSpec::make_scenario(const PointSpec& point) const {
 void SweepSpec::validate() const {
   PDOS_REQUIRE(replicates >= 1, "SweepSpec: need at least one replicate");
   PDOS_REQUIRE(gamma_points >= 2, "SweepSpec: need gamma_points >= 2");
-  std::vector<int> flows = flow_counts;
   if (explicit_points.empty()) {
     PDOS_REQUIRE(!flow_counts.empty(), "SweepSpec: flow_counts is empty");
     PDOS_REQUIRE(!textents.empty(), "SweepSpec: textents is empty");
     PDOS_REQUIRE(!rattacks.empty(), "SweepSpec: rattacks is empty");
+    for (int n : flow_counts) {
+      PDOS_REQUIRE(n >= 1, "SweepSpec: flow counts must be >= 1");
+    }
   } else {
-    flows.clear();
-    for (const PointSpec& point : explicit_points) flows.push_back(point.flows);
+    for (const PointSpec& point : explicit_points) {
+      PDOS_REQUIRE(point.flows >= 1, "SweepSpec: flow counts must be >= 1");
+    }
   }
   PDOS_REQUIRE(control.warmup >= 0.0, "SweepSpec: warmup_s must be >= 0");
   PDOS_REQUIRE(control.measure > 0.0, "SweepSpec: measure_s must be > 0");
@@ -98,22 +100,6 @@ void SweepSpec::validate() const {
                   "bins of %g s; the limit is %.0f bins",
                   control.horizon(), bins, control.bin_width, kMaxSeriesBins);
     throw ParameterError(what);
-  }
-  // Every point of one flow count shares a scenario up to its seed, so one
-  // probe per flow count rejects a combination no point could run (hybrid
-  // with droptail, hybrid_foreground >= flows, ...) before any work starts.
-  std::sort(flows.begin(), flows.end());
-  flows.erase(std::unique(flows.begin(), flows.end()), flows.end());
-  for (int n : flows) {
-    PDOS_REQUIRE(n >= 1, "SweepSpec: flow counts must be >= 1");
-    PointSpec probe;
-    probe.flows = n;
-    try {
-      make_scenario(probe).validate();
-    } catch (const ParameterError& e) {
-      throw ParameterError("SweepSpec at flows = " + std::to_string(n) +
-                           ": " + e.what());
-    }
   }
 }
 
@@ -524,10 +510,10 @@ enum class Resolution { kHit, kDeferred, kMiss };
 ///   - resolve: lookup → claim → {hit, deferred to the drain pass, miss};
 ///   - finish:  store + tick on success, or release + error + tick.
 /// A miss is computed in one of two ways: one warm ScenarioWorkspace run
-/// (`compute`; every packet or hybrid task, and every drained task), or as
-/// a lane of a fluid plan chunk's batched solve (`run_fluid_group`). The
-/// pool's unit of work is one task on the packet and hybrid tiers, and one
-/// plan chunk (`group_plan_chunks`) on the fluid tier.
+/// (`compute`; every packet task, and every drained task), or as a lane of
+/// a fluid plan chunk's batched solve (`run_fluid_group`). The pool's unit
+/// of work is one task on the packet tier, and one plan chunk
+/// (`group_plan_chunks`) on the fluid tier.
 /// Without a store every task resolves as a miss.
 class SweepRun {
  public:

@@ -64,11 +64,9 @@ struct SweepSpec {
   ScenarioKind scenario = ScenarioKind::kNs2Dumbbell;
   QueueKind queue = QueueKind::kRed;
   /// Simulation tier every point (and baseline) runs on; spec files select
-  /// it with `backend = full|fast|fluid|hybrid`. Cache keys include it, so
+  /// it with `backend = full|fast|fluid`. Cache keys include it, so
   /// switching tiers never replays another tier's points.
   Backend backend = Backend::kFull;
-  /// Hybrid tier only: packet-level flows per point (see ScenarioConfig).
-  int hybrid_foreground = 4;
 
   // Cartesian axes (ignored when `explicit_points` is non-empty).
   std::vector<int> flow_counts = {15};
@@ -97,10 +95,10 @@ struct SweepSpec {
   std::vector<PointSpec> enumerate() const;
 
   /// Throws ParameterError, naming the field, for a spec no point could
-  /// run: empty axes, bad counts, a run window out of range (negative
-  /// warm-up, empty measure window, more than kMaxSeriesBins series bins),
-  /// or a scenario (probed once per flow count) that
-  /// ScenarioConfig::validate rejects.
+  /// run: empty axes, bad counts, or a run window out of range (negative
+  /// warm-up, empty measure window, more than kMaxSeriesBins series bins).
+  /// The scenario factories derive every other ScenarioConfig field, and
+  /// ScenarioConfig::validate accepts all of them at any flow count >= 1.
   void validate() const;
 };
 

@@ -119,6 +119,32 @@ TEST(SweepSpec, ExplicitPointsPassThrough) {
 
 // The acceptance-criterion test: the same spec at 1 thread and at 8
 // threads must produce byte-identical CSV (and JSON) output.
+TEST(SweepSpec, EveryScenarioASpecCanNameValidates) {
+  // SweepSpec::validate checks only the spec's own fields: make_scenario
+  // sets just the scenario factory, queue, backend and seed from a spec,
+  // and every such config at any flow count >= 1 must pass
+  // ScenarioConfig::validate, or a bad spec would fail row by row at run
+  // time instead of up front.
+  for (ScenarioKind scenario :
+       {ScenarioKind::kNs2Dumbbell, ScenarioKind::kTestbed}) {
+    for (QueueKind queue : {QueueKind::kRed, QueueKind::kDropTail}) {
+      for (Backend backend :
+           {Backend::kFull, Backend::kFast, Backend::kFluid}) {
+        for (int flows : {1, 2, 15, 1000}) {
+          SweepSpec spec;
+          spec.scenario = scenario;
+          spec.queue = queue;
+          spec.backend = backend;
+          PointSpec point;
+          point.flows = flows;
+          EXPECT_NO_THROW(spec.make_scenario(point).validate())
+              << backend_name(backend) << " flows=" << flows;
+        }
+      }
+    }
+  }
+}
+
 TEST(RunSweep, OutputIsByteIdenticalAcrossThreadCounts) {
   const SweepSpec spec = tiny_spec();
 
@@ -291,7 +317,6 @@ TEST(SpecParser, ParsesTheFullGrammar) {
 scenario     = ns2
 queue        = droptail
 backend      = fluid
-hybrid_foreground = 6
 flows        = 3, 5
 textent_ms   = 50, 75
 rattack_mbps = 25
@@ -308,7 +333,6 @@ json         = out.json
   EXPECT_EQ(file.spec.scenario, ScenarioKind::kNs2Dumbbell);
   EXPECT_EQ(file.spec.queue, QueueKind::kDropTail);
   EXPECT_EQ(file.spec.backend, Backend::kFluid);
-  EXPECT_EQ(file.spec.hybrid_foreground, 6);
   EXPECT_EQ(file.spec.flow_counts, (std::vector<int>{3, 5}));
   ASSERT_EQ(file.spec.textents.size(), 2u);
   EXPECT_DOUBLE_EQ(file.spec.textents[1], ms(75));
@@ -352,8 +376,8 @@ TEST(SpecParser, RejectsUnknownKeysAndGarbage) {
   EXPECT_THROW(parse_spec("scenario = ns3\n"), ParameterError);
   EXPECT_THROW(parse_spec("backend = warp\n"), ParameterError);
   // Integer keys take exact integers: no truncation, no range overflow.
-  for (const char* key : {"flows", "replicates", "gamma_points", "threads",
-                          "hybrid_foreground", "base_seed"}) {
+  for (const char* key :
+       {"flows", "replicates", "gamma_points", "threads", "base_seed"}) {
     SCOPED_TRACE(key);
     const std::string k = key;
     EXPECT_THROW(parse_spec(k + " = 4.7\n"), ParameterError);
@@ -372,7 +396,8 @@ TEST(SpecParser, RejectsUnknownKeysAndGarbage) {
             18446744073709551615ull);
   // Retired keys fail as unknown keys, naming the key: a spec that still
   // sets them must not silently run without them.
-  for (const char* key : {"batch_replicates", "shards", "cache"}) {
+  for (const char* key :
+       {"batch_replicates", "shards", "cache", "hybrid_foreground"}) {
     SCOPED_TRACE(key);
     try {
       parse_spec(std::string(key) + " = 4\n");
@@ -384,17 +409,15 @@ TEST(SpecParser, RejectsUnknownKeysAndGarbage) {
           << e.what();
     }
   }
-  // Combinations no point could run fail at parse time, naming the field.
+  // The retired hybrid tier fails naming the key; it is not aliased to a
+  // tier that would hand back different numbers under the same name.
   try {
-    parse_spec("backend = hybrid\nqueue = droptail\n");
-    ADD_FAILURE() << "hybrid with queue = droptail parsed";
+    parse_spec("backend = hybrid\n");
+    ADD_FAILURE() << "backend = hybrid parsed";
   } catch (const ParameterError& e) {
-    EXPECT_NE(std::string(e.what()).find("queue"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("backend"), std::string::npos)
         << e.what();
   }
-  EXPECT_THROW(parse_spec("backend = hybrid\nflows = 4\n"
-                          "hybrid_foreground = 4\n"),
-               ParameterError);
   // The CLIs read their numeric flags through the same exact parsers:
   // garbage is an error naming the flag, never a silent 0.
   EXPECT_EQ(parse_int("--workers", "4", 1), 4);
