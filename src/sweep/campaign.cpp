@@ -18,15 +18,17 @@ namespace {
 /// point, and each (flows, replicate) pair's baseline where the pair first
 /// appears. The size is the task total run_sweep reports for the spec.
 std::vector<std::uint64_t> task_keys(const SweepSpec& spec) {
+  const std::vector<PointSpec> points = spec.enumerate();
+  const TaskKeys keyer(spec);
   std::vector<std::uint64_t> keys;
   PairIndex baseline_pairs;
-  for (const PointSpec& point : spec.enumerate()) {
+  for (const PointSpec& point : points) {
     const std::uint64_t seed = replicate_seed(spec.base_seed, point.replicate);
-    keys.push_back(point_key(spec, point, seed));
+    keys.push_back(keyer.point(point, seed));
     if (baseline_pairs
             .insert(point.flows, point.replicate, baseline_pairs.size())
             .second) {
-      keys.push_back(baseline_key(spec, point, seed));
+      keys.push_back(keyer.baseline(point, seed));
     }
   }
   return keys;
@@ -63,6 +65,7 @@ std::size_t count_unique_tasks(const SweepSpec& spec) {
 
 SweepResult replay_from_store(const SweepSpec& spec, const PointStore& store) {
   const std::vector<PointSpec> points = spec.enumerate();
+  const TaskKeys keyer(spec);
   SweepResult result;
   result.points.resize(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -71,7 +74,7 @@ SweepResult replay_from_store(const SweepSpec& spec, const PointStore& store) {
     slot.point = points[i];
     slot.seed = replicate_seed(spec.base_seed, points[i].replicate);
     CachedPoint hit;
-    if (store.lookup_point(point_key(spec, slot.point, slot.seed), hit)) {
+    if (store.lookup_point(keyer.point(slot.point, slot.seed), hit)) {
       fill_cached_point(slot, hit);
       ++result.cache_hits;
     }

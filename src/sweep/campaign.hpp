@@ -56,6 +56,8 @@ struct CampaignOptions {
   int threads = 1;
   bool keep_going = false;  // keep dispatching after a point failure
   double lease_ttl_seconds = 120.0;
+  /// Longest wait between polls for tasks leased to other processes
+  /// (SweepOptions::claim_poll_seconds).
   double claim_poll_seconds = 0.05;
   /// When > 0, each spec with a csv_path gets a lookup-only snapshot at
   /// `<csv_path>.partial`, rewritten at most this often while the campaign

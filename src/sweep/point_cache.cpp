@@ -1,6 +1,9 @@
 #include "sweep/point_cache.hpp"
 
+#include <algorithm>
 #include <cstring>
+
+#include "util/assert.hpp"
 
 namespace pdos::sweep {
 
@@ -11,6 +14,10 @@ namespace {
 /// which matches the simulator's bit-exact determinism contract.
 class Fnv1a {
  public:
+  Fnv1a() = default;
+  /// Resume from the value() of an earlier stream.
+  explicit Fnv1a(std::uint64_t state) : hash_(state) {}
+
   Fnv1a& bytes(const void* data, std::size_t n) {
     const auto* p = static_cast<const unsigned char*>(data);
     for (std::size_t i = 0; i < n; ++i) {
@@ -77,17 +84,42 @@ void hash_control(Fnv1a& h, const RunControl& ctl) {
   h.i64(ctl.traced_flow);
 }
 
-/// Everything that parameterizes a sweep run: the derived ScenarioConfig,
-/// the measurement windows, and the build fingerprint.
-void hash_common(Fnv1a& h, const SweepSpec& spec, const ScenarioConfig& c,
-                 std::uint64_t seed) {
+/// The FNV-1a state after every key byte that precedes the seed: the tag,
+/// the fingerprint, and the derived ScenarioConfig and RunControl. The
+/// config varies with the flow count only (its seed field is not hashed),
+/// so one state serves every task of a (spec, flows, tag).
+std::uint64_t key_prefix(const char* tag, const SweepSpec& spec, int flows) {
+  PointSpec probe;
+  probe.flows = flows;
+  Fnv1a h;
+  h.str(tag);
   h.i64(kPointCacheSchema);
   h.str(__VERSION__);  // compiler change may legally perturb FP results
   h.i64(static_cast<std::int64_t>(spec.scenario));
   h.i64(static_cast<std::int64_t>(spec.queue));
-  hash_scenario(h, c);
+  hash_scenario(h, spec.make_scenario(probe));
   hash_control(h, spec.control);
+  return h.value();
+}
+
+// The seed and the axes come last, so a key resumes from its prefix.
+std::uint64_t point_suffix(std::uint64_t prefix, const PointSpec& point,
+                           std::uint64_t seed) {
+  Fnv1a h(prefix);
   h.u64(seed);
+  h.i64(point.flows).f64(point.textent).f64(point.rattack);
+  h.f64(point.gamma).f64(point.kappa).i64(point.replicate);
+  return h.value();
+}
+
+std::uint64_t baseline_suffix(std::uint64_t prefix, const PointSpec& probe,
+                              std::uint64_t seed) {
+  Fnv1a h(prefix);
+  h.u64(seed);
+  // Only the axes the baseline run depends on; textent/rattack/gamma vary
+  // freely across the points this baseline normalizes.
+  h.i64(probe.flows).i64(probe.replicate);
+  return h.value();
 }
 
 }  // namespace
@@ -107,23 +139,48 @@ std::uint64_t scenario_digest(const char* tag, const ScenarioConfig& config,
 
 std::uint64_t point_key(const SweepSpec& spec, const PointSpec& point,
                         std::uint64_t seed) {
-  Fnv1a h;
-  h.str("point");
-  hash_common(h, spec, spec.make_scenario(point), seed);
-  h.i64(point.flows).f64(point.textent).f64(point.rattack);
-  h.f64(point.gamma).f64(point.kappa).i64(point.replicate);
-  return h.value();
+  return point_suffix(key_prefix("point", spec, point.flows), point, seed);
 }
 
 std::uint64_t baseline_key(const SweepSpec& spec, const PointSpec& probe,
                            std::uint64_t seed) {
-  Fnv1a h;
-  h.str("baseline");
-  hash_common(h, spec, spec.make_scenario(probe), seed);
-  // Only the axes the baseline run depends on; textent/rattack/gamma vary
-  // freely across the points this baseline normalizes.
-  h.i64(probe.flows).i64(probe.replicate);
-  return h.value();
+  return baseline_suffix(key_prefix("baseline", spec, probe.flows), probe,
+                         seed);
+}
+
+TaskKeys::TaskKeys(const SweepSpec& spec) {
+  std::vector<int> flows = spec.flow_counts;
+  if (!spec.explicit_points.empty()) {
+    flows.clear();
+    for (const PointSpec& point : spec.explicit_points) {
+      flows.push_back(point.flows);
+    }
+  }
+  std::sort(flows.begin(), flows.end());
+  flows.erase(std::unique(flows.begin(), flows.end()), flows.end());
+  for (int n : flows) {
+    prefixes_.push_back(Prefix{n, key_prefix("point", spec, n),
+                               key_prefix("baseline", spec, n)});
+  }
+}
+
+const TaskKeys::Prefix& TaskKeys::prefix_of(int flows) const {
+  const auto it = std::lower_bound(
+      prefixes_.begin(), prefixes_.end(), flows,
+      [](const Prefix& p, int n) { return p.flows < n; });
+  PDOS_CHECK_MSG(it != prefixes_.end() && it->flows == flows,
+                 "TaskKeys: flow count outside the spec");
+  return *it;
+}
+
+std::uint64_t TaskKeys::point(const PointSpec& point,
+                              std::uint64_t seed) const {
+  return point_suffix(prefix_of(point.flows).point, point, seed);
+}
+
+std::uint64_t TaskKeys::baseline(const PointSpec& probe,
+                                 std::uint64_t seed) const {
+  return baseline_suffix(prefix_of(probe.flows).baseline, probe, seed);
 }
 
 }  // namespace pdos::sweep

@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "sweep/sweep.hpp"
 
@@ -59,13 +60,42 @@ struct CachedPoint {
 };
 
 /// Digest of (point axes + derived ScenarioConfig + seed + control +
-/// fingerprint) for an attack point of `spec`.
+/// fingerprint) for an attack point of `spec`. Builds the point's scenario
+/// on every call; a caller keying many tasks of one spec uses TaskKeys.
 std::uint64_t point_key(const SweepSpec& spec, const PointSpec& point,
                         std::uint64_t seed);
 
 /// Digest for the no-attack baseline of a (flows, replicate) pair.
 std::uint64_t baseline_key(const SweepSpec& spec, const PointSpec& probe,
                            std::uint64_t seed);
+
+/// The task keys of one spec, bit-identical to point_key/baseline_key.
+/// Every key byte before the seed (tag, fingerprint, scenario and queue
+/// kinds, derived ScenarioConfig, RunControl) depends on the spec and the
+/// flow count only, so the constructor hashes that prefix once per flow
+/// count and tag, and each key resumes from it with the seed and the axes:
+/// no scenario is rebuilt per key. Immutable, so threads share one.
+class TaskKeys {
+ public:
+  /// Hashes the prefixes of every flow count `spec` can enumerate: its
+  /// `flow_counts`, or the flows of its `explicit_points`.
+  explicit TaskKeys(const SweepSpec& spec);
+
+  /// point_key(spec, point, seed); `point.flows` must be one of the spec's.
+  std::uint64_t point(const PointSpec& point, std::uint64_t seed) const;
+  /// baseline_key(spec, probe, seed); `probe.flows` likewise.
+  std::uint64_t baseline(const PointSpec& probe, std::uint64_t seed) const;
+
+ private:
+  struct Prefix {
+    int flows;
+    std::uint64_t point;     // FNV-1a state after the "point" prefix
+    std::uint64_t baseline;  // ... after the "baseline" prefix
+  };
+  const Prefix& prefix_of(int flows) const;
+
+  std::vector<Prefix> prefixes_;  // sorted by flows
+};
 
 /// Digest of (tag + schema/compiler fingerprint + full ScenarioConfig +
 /// RunControl + `extra` doubles, in order). The key core of the fluid

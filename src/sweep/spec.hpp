@@ -78,6 +78,11 @@ Int parse_int(const std::string& what, const std::string& value, Int min) {
   return parsed;
 }
 
+/// The CLIs redraw their human progress line at most this often (seconds),
+/// plus once for the final done == total report: a line per task would
+/// write hundreds of kilobytes to stderr on an all-hit resume.
+inline constexpr double kProgressRedrawSeconds = 0.1;
+
 /// Parse spec text (the file contents). Throws ParameterError with a
 /// line-numbered message on malformed input.
 SpecFile parse_spec(const std::string& text);

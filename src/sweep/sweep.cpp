@@ -525,7 +525,9 @@ class SweepRun {
         result_(result),
         baselines_(unique_baselines(result.points, baseline_index_)),
         meter_(baselines_.size() + result.points.size(),
-               options.on_progress) {}
+               options.on_progress) {
+    if (store_ != nullptr) keys_.emplace(spec);
+  }
 
   std::size_t cache_hits() const { return cache_hits_.load(); }
   std::size_t simulated() const { return simulated_.load(); }
@@ -680,15 +682,21 @@ class SweepRun {
 
   /// Resolve the tasks other processes held leases on: poll the store until
   /// each one's result lands, or its lease expires unfulfilled (a crashed
-  /// peer) and the claim succeeds here, so the task runs locally. Every wait
-  /// is bounded by the lease TTL, so the loop terminates; after a
-  /// cancellation the remaining tasks are skipped without waiting.
+  /// peer) and the claim succeeds here, so the task runs locally. The first
+  /// poll comes after 1 ms and each wait doubles up to claim_poll_seconds,
+  /// so a peer's result that lands soon is picked up soon, and a long lease
+  /// costs one refresh per poll period. Every wait is bounded by the lease
+  /// TTL, so the loop terminates; after a cancellation the remaining tasks
+  /// are skipped without waiting.
   void drain() {
-    const auto poll = std::chrono::duration<double>(
-        std::max(1e-3, options_.claim_poll_seconds));
+    constexpr double kFirstPollSeconds = 1e-3;
+    const double longest =
+        std::max(kFirstPollSeconds, options_.claim_poll_seconds);
+    double wait = kFirstPollSeconds;
     while (!deferred_.empty()) {
       if (!cancelled()) {
-        std::this_thread::sleep_for(poll);
+        std::this_thread::sleep_for(std::chrono::duration<double>(wait));
+        wait = std::min(2.0 * wait, longest);
         store_->refresh();
       }
       std::vector<Task> pending;
@@ -718,12 +726,12 @@ class SweepRun {
   }
 
   std::uint64_t key_of(Task task) const {
-    if (store_ == nullptr) return 0;
+    if (!keys_) return 0;
     const PointSpec& point = point_of(task);
     const std::uint64_t seed =
         replicate_seed(spec_.base_seed, point.replicate);
-    return task.baseline ? baseline_key(spec_, point, seed)
-                         : point_key(spec_, point, seed);
+    return task.baseline ? keys_->baseline(point, seed)
+                         : keys_->point(point, seed);
   }
 
   /// Read a stored result into the task's slot. A cached point carries
@@ -853,6 +861,7 @@ class SweepRun {
   const SweepSpec& spec_;
   const SweepOptions& options_;
   PointStore* store_;
+  std::optional<TaskKeys> keys_;  // set when there is a store
   SweepResult& result_;
   PairIndex baseline_index_;  // (flows, replicate) → baselines_ slot
   std::vector<BaselineSlot> baselines_;

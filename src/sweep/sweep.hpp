@@ -252,7 +252,9 @@ struct SweepOptions {
   /// lease expires. This is what lets K cooperating processes partition one
   /// grid with near-zero duplicated work.
   PointStore* store = nullptr;
-  /// Poll interval (seconds) while draining tasks leased to other workers.
+  /// Longest wait (seconds) between polls while draining tasks leased to
+  /// other workers: the first poll comes after 1 ms, and each wait doubles
+  /// up to this.
   double claim_poll_seconds = 0.05;
 };
 

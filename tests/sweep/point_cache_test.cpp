@@ -1,5 +1,6 @@
 // Result stores: point/baseline key sensitivity to every input that shapes
-// a run and stability across calls, then the PointStore persistence
+// a run, stability across calls and builds, and TaskKeys' equality with
+// the free key functions; then the PointStore persistence
 // contract — miss then hit, bit-exact reload, tolerance of corrupt or
 // foreign files, directory creation — on the file-backed store,
 // CampaignStore. Its sharding, claims and compaction are covered by
@@ -10,6 +11,7 @@
 
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "sweep/campaign_store.hpp"
 #include "sweep/sweep.hpp"
@@ -226,6 +228,85 @@ TEST(PointCacheKeyTest, KeysAreStableAcrossCalls) {
   PointSpec point;
   EXPECT_EQ(point_key(spec, point, 1), point_key(spec, point, 1));
   EXPECT_EQ(baseline_key(spec, point, 1), baseline_key(spec, point, 1));
+}
+
+/// TaskKeys must hash the same bytes as point_key/baseline_key, for every
+/// task of `spec`: each point, and its (flows, replicate) baseline.
+void expect_keyer_matches(const SweepSpec& spec) {
+  const TaskKeys keys(spec);
+  const std::vector<PointSpec> points = spec.enumerate();
+  ASSERT_FALSE(points.empty());
+  for (const PointSpec& point : points) {
+    const std::uint64_t seed = replicate_seed(spec.base_seed, point.replicate);
+    EXPECT_EQ(keys.point(point, seed), point_key(spec, point, seed))
+        << "flows " << point.flows << ", gamma " << point.gamma
+        << ", replicate " << point.replicate;
+    EXPECT_EQ(keys.baseline(point, seed), baseline_key(spec, point, seed))
+        << "flows " << point.flows << ", replicate " << point.replicate;
+  }
+}
+
+TEST(PointCacheKeyTest, TaskKeysEqualTheFreeFunctions) {
+  for (ScenarioKind scenario :
+       {ScenarioKind::kNs2Dumbbell, ScenarioKind::kTestbed}) {
+    for (QueueKind queue : {QueueKind::kRed, QueueKind::kDropTail}) {
+      for (Backend backend :
+           {Backend::kFull, Backend::kFast, Backend::kFluid}) {
+        SCOPED_TRACE(std::string(scenario_kind_name(scenario)) + " " +
+                     (queue == QueueKind::kRed ? "red " : "droptail ") +
+                     backend_name(backend));
+        SweepSpec spec = quick_spec();
+        spec.scenario = scenario;
+        spec.queue = queue;
+        spec.backend = backend;
+        spec.flow_counts = {1, 15, 45};
+        spec.textents = {ms(50), ms(100)};
+        spec.gammas = {0.3, 0.6};
+        spec.replicates = 3;
+        expect_keyer_matches(spec);
+      }
+    }
+  }
+}
+
+TEST(PointCacheKeyTest, TaskKeysCoverExplicitPoints) {
+  // Explicit points bring their own flow counts, none of them in
+  // flow_counts.
+  SweepSpec spec = quick_spec();
+  spec.backend = Backend::kFluid;
+  PointSpec a;
+  a.flows = 3;
+  a.gamma = 0.4;
+  PointSpec b;
+  b.flows = 7;
+  b.textent = ms(100);
+  b.gamma = 0.7;
+  spec.explicit_points = {a, b, a};
+  spec.replicates = 2;
+  expect_keyer_matches(spec);
+}
+
+TEST(PointCacheKeyTest, KeysEqualTheRecordedBuild) {
+  // Keys recorded from an earlier build's point_key/baseline_key. A store
+  // written by any build with the same schema and compiler must keep
+  // replaying, so these values must never move; bump kPointCacheSchema
+  // (and re-record) when they have to. __VERSION__ is part of the key, so
+  // the values only hold for the compiler they were recorded with.
+  constexpr const char* kRecordedCompiler = "12.2.0";
+  if (std::string(__VERSION__) != kRecordedCompiler) {
+    GTEST_SKIP() << "keys were recorded with compiler " << kRecordedCompiler
+                 << ", this build's __VERSION__ is " << __VERSION__;
+  }
+  ASSERT_EQ(kPointCacheSchema, 3);
+  const SweepSpec spec = quick_spec();
+  PointSpec point;
+  point.replicate = 1;
+  const std::uint64_t seed = replicate_seed(spec.base_seed, 1);
+  EXPECT_EQ(point_key(spec, point, seed), 0x6a0bb6d43baa9fbaULL);
+  EXPECT_EQ(baseline_key(spec, point, seed), 0x395a0a26d039eb35ULL);
+  const TaskKeys keys(spec);
+  EXPECT_EQ(keys.point(point, seed), 0x6a0bb6d43baa9fbaULL);
+  EXPECT_EQ(keys.baseline(point, seed), 0x395a0a26d039eb35ULL);
 }
 
 }  // namespace

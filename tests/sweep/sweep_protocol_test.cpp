@@ -170,6 +170,23 @@ TEST_P(SweepProtocolTest, BusyThenStoredRecordResolvesAsHit) {
   EXPECT_EQ(csv_of(drained), csv_of(plain));
 }
 
+TEST_P(SweepProtocolTest, FirstDrainPollDoesNotWaitThePollPeriod) {
+  // claim_poll_seconds is the longest wait between polls, not the first:
+  // a peer's record that lands on the first refresh resolves in about a
+  // millisecond per phase, not after a whole 1 s period each.
+  ScriptedStore peer(ScriptedStore::Script::kAcquire);
+  ASSERT_EQ(run_sweep(spec(), options(&peer)).simulated, kTasks);
+
+  ScriptedStore store(ScriptedStore::Script::kPeerStores);
+  store.set_peer_records(peer);
+  SweepOptions slow_poll = options(&store);
+  slow_poll.claim_poll_seconds = 1.0;
+  const SweepResult drained = run_sweep(spec(), slow_poll);
+  EXPECT_EQ(store.busy_claims(), kTasks);
+  EXPECT_EQ(drained.cache_hits, kTasks);
+  EXPECT_LT(drained.wall_seconds, 0.5);
+}
+
 TEST_P(SweepProtocolTest, ExpiredLeaseIsSimulatedLocally) {
   const SweepResult plain = run_sweep(spec(), options(nullptr));
   ASSERT_EQ(plain.failures(), 0u);

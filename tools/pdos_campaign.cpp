@@ -141,7 +141,13 @@ int main(int argc, char** argv) {
   if (!store_flag.empty()) options.store_dir = store_flag;
 
   if (!quiet) {
-    options.on_progress = [](const sweep::CampaignProgress& p) {
+    options.on_progress = [last_draw = 0.0](
+                              const sweep::CampaignProgress& p) mutable {
+      if (p.done != p.total &&
+          p.elapsed_seconds - last_draw < sweep::kProgressRedrawSeconds) {
+        return;
+      }
+      last_draw = p.elapsed_seconds;
       std::fprintf(stderr,
                    "\r%zu/%zu done (%zu cached), %.1fs   ", p.done, p.total,
                    p.cached, p.elapsed_seconds);

@@ -124,12 +124,19 @@ int main(int argc, char** argv) {
                  points.size(), sweep::scenario_kind_name(file.spec.scenario),
                  backend_name(file.spec.backend),
                  static_cast<unsigned long long>(file.spec.base_seed));
-    file.options.on_progress = [](const sweep::SweepProgress& progress) {
-      std::fprintf(stderr, "\r%zu/%zu done, %.1fs elapsed, eta %.1fs   ",
-                   progress.done, progress.total, progress.elapsed_seconds,
-                   progress.eta_seconds);
-      if (progress.done == progress.total) std::fprintf(stderr, "\n");
-    };
+    file.options.on_progress =
+        [last_draw = 0.0](const sweep::SweepProgress& progress) mutable {
+          if (progress.done != progress.total &&
+              progress.elapsed_seconds - last_draw <
+                  sweep::kProgressRedrawSeconds) {
+            return;
+          }
+          last_draw = progress.elapsed_seconds;
+          std::fprintf(stderr, "\r%zu/%zu done, %.1fs elapsed, eta %.1fs   ",
+                       progress.done, progress.total, progress.elapsed_seconds,
+                       progress.eta_seconds);
+          if (progress.done == progress.total) std::fprintf(stderr, "\n");
+        };
   }
 
   const sweep::SweepResult result = sweep::run_sweep(file.spec, file.options);
