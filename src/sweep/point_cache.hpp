@@ -78,7 +78,9 @@ std::uint64_t baseline_key(const SweepSpec& spec, const PointSpec& probe,
 class TaskKeys {
  public:
   /// Hashes the prefixes of every flow count `spec` can enumerate: its
-  /// `flow_counts`, or the flows of its `explicit_points`.
+  /// `flow_counts`, or the flows of its `explicit_points`. Builds one
+  /// scenario per flow count, so `spec` must have passed validate() (every
+  /// caller enumerates it first): a flow count below 1 is not a scenario.
   explicit TaskKeys(const SweepSpec& spec);
 
   /// point_key(spec, point, seed); `point.flows` must be one of the spec's.
